@@ -4,8 +4,9 @@ Subcommands: gen (emit sequence terms), verify (sweep the identity
 catalog), gf (expand the generating function), sum (evaluate summation
 closed forms against the oracle), selftest (run the whole battery).
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  Output is
-deterministic: identical invocations produce byte-identical results.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error
+(the --output file cannot be written).  Output is deterministic: identical
+invocations produce byte-identical results.
 """
 
 from __future__ import annotations
@@ -33,6 +34,10 @@ from .sums import (
 
 class UsageError(Exception):
     """Invalid arguments detected after parsing; maps to exit code 2."""
+
+
+class OutputError(Exception):
+    """The output file cannot be written; maps to exit code 3."""
 
 
 def _rational_arg(text: str) -> Fraction:
@@ -111,8 +116,11 @@ def _emit(text: str, output: Optional[str]) -> None:
     if output is None:
         sys.stdout.write(text)
     else:
-        with open(output, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        try:
+            with open(output, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise OutputError(f"cannot write {output}: {exc.strerror or exc}") from exc
 
 
 def _params(args: argparse.Namespace) -> SequenceParams:
@@ -125,26 +133,36 @@ def cmd_gen(args: argparse.Namespace) -> int:
     params = _params(args)
     values = term_range(params, args.start, args.stop)
     rows = list(zip(range(args.start, args.stop + 1), values))
-    if args.format == "csv":
-        lines = ["n,value"] + [f"{n},{value}" for n, value in rows]
-        text = "\n".join(lines) + "\n"
-    elif args.format == "bfile":
+    if args.format == "bfile":
         for n, value in rows:
             if value.denominator != 1:
                 raise UsageError(
                     f"b-file output requires integer values, got {value} at n={n}; "
                     "use csv or json for fractional seeds"
                 )
-        text = "".join(f"{n} {value}\n" for n, value in rows)
-    else:
-        payload = [{"n": n, "value": str(value)} for n, value in rows]
-        text = json.dumps(payload) + "\n"
+    # Terms from about n = 14,290 have more digits than the interpreter lets
+    # str() produce by default; gen prints every term it can compute.
+    digit_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        if args.format == "csv":
+            lines = ["n,value"] + [f"{n},{value}" for n, value in rows]
+            text = "\n".join(lines) + "\n"
+        elif args.format == "bfile":
+            text = "".join(f"{n} {value}\n" for n, value in rows)
+        else:
+            payload = [{"n": n, "value": str(value)} for n, value in rows]
+            text = json.dumps(payload) + "\n"
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
     _emit(text, args.output)
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     identities = list(IdentityId) if args.identity == "all" else [IdentityId(args.identity)]
+    if args.r_max is not None and args.r_max < 0:
+        raise UsageError(f"--r-max must be nonnegative, got {args.r_max}")
     params = _params(args)
     lines = []
     all_ok = True
@@ -354,6 +372,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OutputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except BrokenPipeError:
         return 0
 

@@ -66,7 +66,7 @@ def binet_term(params: SequenceParams, n: int) -> Fraction:
     if n < 0:
         raise ValueError(f"term index must be nonnegative, got {n}")
     coeffs = binet_coefficients(params)
-    value = coeffs.A * Fraction(2) ** n - coeffs.B * OMEGA1**n + coeffs.C * OMEGA2**n
+    value = coeffs.A * (1 << n) - coeffs.B * OMEGA1**n + coeffs.C * OMEGA2**n
     return value.rational_part()
 
 
@@ -75,4 +75,4 @@ def decomposed_term(params: SequenceParams, n: int) -> Fraction:
     if n < 0:
         raise ValueError(f"term index must be nonnegative, got {n}")
     remainder = companions(params).v_gen.at(n)
-    return (params.rho * Fraction(2) ** n - remainder) / 7
+    return (params.rho * (1 << n) - remainder) / 7

@@ -44,6 +44,7 @@ from typing import Callable, Mapping, NamedTuple, Optional
 from .sequences import (
     JACOBSTHAL,
     JACOBSTHAL_LUCAS,
+    PeriodicTriple,
     SequenceParams,
     V_ORDINARY,
     companions,
@@ -192,11 +193,12 @@ def catalan_rhs(params: SequenceParams, n: int, r: int) -> Fraction:
     """
     if r < 0 or r > n:
         raise ValueError(f"catalan closed form needs 0 <= r <= n, got n={n}, r={r}")
-    v = companions(params).v_gen
-    bracket = (
-        Fraction(2) ** r * v.at(n - r) - 2 * v.at(n) + Fraction(1, 2**r) * v.at(n + r)
-    )
-    return (Fraction(2) ** n * params.rho * bracket + 7 * params.quartic * u_value(r) ** 2) / 49
+    return _catalan_form(params, companions(params).v_gen, n, r)
+
+
+def _catalan_form(params: SequenceParams, v: PeriodicTriple, n: int, r: int) -> Fraction:
+    bracket = (1 << r) * v.at(n - r) - 2 * v.at(n) + v.at(n + r) / (1 << r)
+    return ((1 << n) * params.rho * bracket + 7 * params.quartic * u_value(r) ** 2) / 49
 
 
 #: Residue-split constants of the J-specific fourth-power identity:
@@ -232,40 +234,43 @@ def gelin_cesaro_rhs(params: SequenceParams, n: int, mode: str = "general") -> F
         raise ValueError(f"fourth-power closed form needs n >= 2, got {n}")
     comp = companions(params)
     if mode == "general":
-        bracket = 3 * comp.w_gen.at(n + 2) - 2 * comp.w_gen.at(n + 1)
-        product = comp.w_gen.at(n + 1) * comp.w_gen.at(n + 2)
-    elif mode == "cases":
-        bracket = _gelin_case_bracket(params, n)
-        product = comp.t.at(n)
-    else:
-        raise ValueError(f"mode must be 'general' or 'cases', got {mode!r}")
+        return _gelin_general_form(params, comp.w_gen, n)
+    if mode == "cases":
+        return _gelin_form(params, n, _gelin_case_bracket(params, n), comp.t.at(n))
+    raise ValueError(f"mode must be 'general' or 'cases', got {mode!r}")
+
+
+def _gelin_general_form(params: SequenceParams, w: PeriodicTriple, n: int) -> Fraction:
+    w_1, w_2 = w.at(n + 1), w.at(n + 2)
+    return _gelin_form(params, n, 3 * w_2 - 2 * w_1, w_1 * w_2)
+
+
+def _gelin_form(params: SequenceParams, n: int, bracket: Fraction, product: Fraction) -> Fraction:
     rho = params.rho
     q = params.quartic
     square = term(params, n) ** 2
-    p_lin = Fraction(2) ** (n - 2)
-    p_sq = Fraction(2) ** (2 * n - 3)
+    p_lin = 1 << (n - 2)
+    p_sq = 1 << (2 * n - 3)
     return (
         square * (2 * q + p_lin * rho * bracket)
-        - Fraction(1, 7) * (q * q + p_lin * rho * q * bracket - 3 * p_sq * rho * rho * product)
+        - (q * q + p_lin * rho * q * bracket - 3 * p_sq * rho * rho * product) / 7
     ) / 7
 
 
 def _catalan_j_rhs(n: int, r: int) -> Fraction:
     # J-specific shape: 2**(n+1) replaces 2**n * rho and the seed form is 1.
     v = V_ORDINARY
-    bracket = (
-        Fraction(2) ** r * v.at(n - r) - 2 * v.at(n) + Fraction(1, 2**r) * v.at(n + r)
-    )
-    return (Fraction(2) ** (n + 1) * bracket + 7 * u_value(r) ** 2) / 49
+    bracket = (1 << r) * v.at(n - r) - 2 * v.at(n) + v.at(n + r) / (1 << r)
+    return ((1 << (n + 1)) * bracket + 7 * u_value(r) ** 2) / 49
 
 
 def _gelin_j_rhs(n: int) -> Fraction:
     square = term(JACOBSTHAL, n) ** 2
-    p_lin = Fraction(2) ** (n - 1)
-    p_sq = Fraction(2) ** (2 * n - 1)
+    p_lin = 1 << (n - 1)
+    p_sq = 1 << (2 * n - 1)
     k = _GELIN_J_BRACKET[n % 3]
     s = _GELIN_J_SQUARE_COEFF[n % 3]
-    return (square * (2 + k * p_lin) - Fraction(1, 7) * (1 + k * p_lin + s * p_sq)) / 7
+    return (square * (2 + k * p_lin) - (1 + k * p_lin + s * p_sq) / 7) / 7
 
 
 # Per-identity evaluators returning (lhs, rhs, witness).  LHS terms come from
@@ -355,7 +360,7 @@ def _eval_catalan_gen(params, n, r):
         "V(n+r)": v.at(n + r),
         "U(r)": u_value(r),
     }
-    return lhs, catalan_rhs(params, n, r), witness
+    return lhs, _catalan_form(params, v, n, r), witness
 
 
 def _gelin_lhs(params, n):
@@ -371,18 +376,19 @@ def _eval_gelin_gen(params, n, r):
         "W(n+1)": w.at(n + 1),
         "W(n+2)": w.at(n + 2),
     }
-    return _gelin_lhs(params, n), gelin_cesaro_rhs(params, n, "general"), witness
+    return _gelin_lhs(params, n), _gelin_general_form(params, w, n), witness
 
 
 def _eval_gelin_cases(params, n, r):
-    comp = companions(params)
+    bracket = _gelin_case_bracket(params, n)
+    product = companions(params).t.at(n)
     witness = {
         "rho": params.rho,
         "quartic": params.quartic,
-        "case_constant": _gelin_case_bracket(params, n),
-        "T(n)": comp.t.at(n),
+        "case_constant": bracket,
+        "T(n)": product,
     }
-    return _gelin_lhs(params, n), gelin_cesaro_rhs(params, n, "cases"), witness
+    return _gelin_lhs(params, n), _gelin_form(params, n, bracket, product), witness
 
 
 _Evaluator = Callable[[SequenceParams, int, Optional[int]], tuple]
@@ -453,13 +459,16 @@ def verify_range(
 
     For Catalan entries the grid is triangular (0 <= r <= n), optionally
     clipped at r_max.  Results are ordered by (n, r), so reports are
-    deterministic.
+    deterministic.  Bounds that leave the grid empty raise ValueError: an
+    empty sweep checks nothing, so it must not pass.
     """
     domain = _DOMAINS[identity]
     if n_max < domain.min_n:
         raise ValueError(
             f"n_max for {identity.value} must be at least {domain.min_n}, got {n_max}"
         )
+    if domain.uses_r and r_max is not None and r_max < 0:
+        raise ValueError(f"r_max for {identity.value} must be nonnegative, got {r_max}")
     results: list[CheckResult] = []
     for n in range(domain.min_n, n_max + 1):
         if domain.uses_r and identity not in _CASSINI_IDS:

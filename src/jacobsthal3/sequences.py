@@ -21,15 +21,19 @@ where V is periodic with period 3.  This module provides:
   5*V(n+1) - 3*V(n), the Catalan offset U, and the product triple
   T(n) = W(n+1)*W(n+2)).
 
-All values are immutable and all functions are pure; results are memoized
-per seed triple behind the scenes (replace-on-write, so concurrent callers
-at worst recompute identical values).
+All values are immutable and all functions are pure.  Oracle prefixes are
+memoized per seed triple in a module cache (replace-on-write, so concurrent
+callers at worst recompute identical values).  Everything else derived from
+a seed (its hash, rho, the seed form and the companion triples) is computed
+on first use and kept on the :class:`SequenceParams` instance, so it lives
+exactly as long as the params object.  The oracle reads none of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .eisenstein import _as_fraction
 
@@ -43,16 +47,23 @@ class SequenceParams:
     c: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", _as_fraction(self.a))
-        object.__setattr__(self, "b", _as_fraction(self.b))
-        object.__setattr__(self, "c", _as_fraction(self.c))
+        a, b, c = _as_fraction(self.a), _as_fraction(self.b), _as_fraction(self.c)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        # Every oracle cache lookup hashes the params; hashing three
+        # Fractions each time costs more than the lookup itself.
+        object.__setattr__(self, "_hash", hash((a, b, c)))
 
-    @property
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
     def rho(self) -> Fraction:
         """a + b + c, the coefficient of 2**n in 7 * X(n)."""
         return self.a + self.b + self.c
 
-    @property
+    @cached_property
     def quartic(self) -> Fraction:
         """The seed form 4a^2 + 3b^2 + c^2 - 2ac - 3bc.
 
@@ -63,6 +74,18 @@ class SequenceParams:
         """
         a, b, c = self.a, self.b, self.c
         return 4 * a * a + 3 * b * b + c * c - 2 * a * c - 3 * b * c
+
+    @cached_property
+    def _companions(self) -> "CompanionSet":
+        a, b, c = self.a, self.b, self.c
+        v_gen = PeriodicTriple(c + b - 6 * a, 2 * c - 5 * b + 2 * a, -3 * c + 4 * b + 4 * a)
+        w_gen = PeriodicTriple(-3 * c + 5 * b + 2 * a, 2 * c - b - 6 * a, c - 4 * b + 4 * a)
+        t = PeriodicTriple(
+            w_gen.at1 * w_gen.at2,
+            w_gen.at2 * w_gen.at0,
+            w_gen.at0 * w_gen.at1,
+        )
+        return CompanionSet(v=V_ORDINARY, v_gen=v_gen, w=W_ORDINARY, w_gen=w_gen, u=U_OFFSET, t=t)
 
     def __str__(self) -> str:
         return f"({self.a}, {self.b}, {self.c})"
@@ -135,20 +158,20 @@ def u_value(r: int) -> Fraction:
 
 
 def companions(params: SequenceParams) -> CompanionSet:
-    """Build all period-3 companion triples for the given seeds.
+    """All period-3 companion triples for the given seeds.
+
+    Built on the first call for a params instance and kept on it, so later
+    calls return the same object.
 
     >>> companions(JACOBSTHAL).v_gen
     PeriodicTriple(at0=Fraction(2, 1), at1=Fraction(-3, 1), at2=Fraction(1, 1))
     """
-    a, b, c = params.a, params.b, params.c
-    v_gen = PeriodicTriple(c + b - 6 * a, 2 * c - 5 * b + 2 * a, -3 * c + 4 * b + 4 * a)
-    w_gen = PeriodicTriple(-3 * c + 5 * b + 2 * a, 2 * c - b - 6 * a, c - 4 * b + 4 * a)
-    t = PeriodicTriple(
-        w_gen.at1 * w_gen.at2,
-        w_gen.at2 * w_gen.at0,
-        w_gen.at0 * w_gen.at1,
-    )
-    return CompanionSet(v=V_ORDINARY, v_gen=v_gen, w=W_ORDINARY, w_gen=w_gen, u=U_OFFSET, t=t)
+    return params._companions
+
+
+def _check_index(name: str, value: int) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
 
 
 # Memoized oracle prefixes, one immutable tuple per seed triple.  Entries are
@@ -178,6 +201,7 @@ def term(params: SequenceParams, n: int) -> Fraction:
     >>> [str(term(JACOBSTHAL, n)) for n in range(7)]
     ['0', '1', '1', '2', '5', '9', '18']
     """
+    _check_index("term index n", n)
     if n < 0:
         raise ValueError(f"term index must be nonnegative, got {n}")
     return _terms_through(params, n)[n]
@@ -185,6 +209,8 @@ def term(params: SequenceParams, n: int) -> Fraction:
 
 def term_range(params: SequenceParams, first: int, last: int) -> list[Fraction]:
     """Terms first..last inclusive, computed in a single linear pass."""
+    _check_index("range start first", first)
+    _check_index("range end last", last)
     if first < 0:
         raise ValueError(f"range start must be nonnegative, got {first}")
     if first > last:

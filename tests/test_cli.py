@@ -1,9 +1,10 @@
 """CLI surface: formats, exit codes, round trips, determinism."""
 
 import json
+import sys
 
 from jacobsthal3.cli import main
-from jacobsthal3.sequences import JACOBSTHAL, term_range
+from jacobsthal3.sequences import JACOBSTHAL, term, term_range
 
 
 def run(capsys, *argv):
@@ -128,6 +129,14 @@ def test_verify_n_max_below_domain_exits_2(capsys):
     assert "minimum" in err
 
 
+def test_verify_negative_r_max_exits_2(capsys):
+    code, out, err = run(capsys, "verify", "--identity", "catalan-gen", "--r-max", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "--r-max" in err
+    assert "Traceback" not in err
+
+
 def test_gf_default_format(capsys):
     code, out, _ = run(capsys, "gf", "--terms", "7")
     assert code == 0
@@ -218,6 +227,27 @@ def test_output_flag_writes_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert path.read_text().startswith("n,value\n")
+
+
+def test_unwritable_output_exits_3(capsys):
+    code, out, err = run(capsys, "gen", "--to", "3", "--output", "/nonexistent/x.csv")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: cannot write /nonexistent/x.csv: ")
+    assert "Traceback" not in err
+
+
+def test_gen_prints_terms_past_the_int_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, "gen", "--from", "15000", "--to", "15000")
+    assert code == 0
+    header, row = out.splitlines()
+    n, value = row.split(",")
+    assert n == "15000"
+    expected = term(JACOBSTHAL, 15000).numerator
+    assert len(value) > 4300
+    assert int(value[-50:]) == expected % 10**50
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_selftest_passes(capsys):

@@ -20,6 +20,7 @@ from jacobsthal3.sequences import (
     JACOBSTHAL,
     JACOBSTHAL_LUCAS,
     SequenceParams,
+    companions,
     term,
     u_value,
 )
@@ -138,6 +139,23 @@ def test_verify_range_r_max_clips_grid():
 def test_verify_range_bound_below_min_n():
     with pytest.raises(ValueError):
         verify_range(IdentityId.E5, n_max=2)
+
+
+@pytest.mark.parametrize("identity", [IdentityId.CATALAN_J, IdentityId.CATALAN_GEN])
+def test_verify_range_rejects_empty_r_grid(identity):
+    # r_max < 0 leaves no (n, r) instance; an empty sweep must not pass
+    with pytest.raises(ValueError, match="r_max"):
+        verify_range(identity, SequenceParams(1, 2, 3), n_max=10, r_max=-1)
+
+
+def test_catalan_sweeps_of_two_seeds_use_their_own_companions():
+    first = SequenceParams(1, 2, 3)
+    second = SequenceParams(Fraction(-2, 5), 3, Fraction(7, 4))
+    for params in (first, second, first):
+        report = verify_range(IdentityId.CATALAN_GEN, params, n_max=12)
+        assert report.ok
+        assert report.total == sum(n + 1 for n in range(13))
+    assert companions(first).v_gen != companions(second).v_gen
 
 
 def test_fixed_seed_identities_ignore_params():

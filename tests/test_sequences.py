@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 from jacobsthal3.sequences import (
     JACOBSTHAL,
     JACOBSTHAL_LUCAS,
+    CompanionSet,
     PeriodicTriple,
     SequenceParams,
     U_OFFSET,
@@ -152,3 +154,51 @@ def test_product_triple_relation():
         comp = companions(params)
         for n in range(3):
             assert comp.t.at(n) == comp.w_gen.at(n + 1) * comp.w_gen.at(n + 2)
+
+
+@pytest.mark.parametrize("n", [True, 2.0, "3", None])
+def test_term_rejects_non_integer_index(n):
+    with pytest.raises(TypeError, match="term index n"):
+        term(JACOBSTHAL, n)
+
+
+def test_term_range_rejects_non_integer_bounds():
+    with pytest.raises(TypeError, match="first"):
+        term_range(JACOBSTHAL, False, 3)
+    with pytest.raises(TypeError, match="last"):
+        term_range(JACOBSTHAL, 0, 3.0)
+
+
+def test_equal_seeds_give_equal_params_and_hashes():
+    variants = [
+        SequenceParams(1, 2, 3),
+        SequenceParams("1", Fraction(2), 3),
+        SequenceParams(Fraction(2, 2), 2, 3),
+    ]
+    for params in variants:
+        assert params == variants[0]
+        assert hash(params) == hash(variants[0]) == hash((Fraction(1), Fraction(2), Fraction(3)))
+    assert len({*variants}) == 1
+
+
+def test_cached_seed_data_stays_out_of_repr_and_fields():
+    params = SequenceParams(1, 2, 3)
+    companions(params), params.rho, params.quartic
+    assert repr(params) == "SequenceParams(a=Fraction(1, 1), b=Fraction(2, 1), c=Fraction(3, 1))"
+    assert [f.name for f in dataclasses.fields(params)] == ["a", "b", "c"]
+
+
+def test_companions_are_built_once_per_params():
+    params = SequenceParams(Fraction(1, 2), -3, Fraction(7, 5))
+    comp = companions(params)
+    assert companions(params) is comp
+    a, b, c = params.a, params.b, params.c
+    w_gen = PeriodicTriple(-3 * c + 5 * b + 2 * a, 2 * c - b - 6 * a, c - 4 * b + 4 * a)
+    assert comp == CompanionSet(
+        v=V_ORDINARY,
+        v_gen=PeriodicTriple(c + b - 6 * a, 2 * c - 5 * b + 2 * a, -3 * c + 4 * b + 4 * a),
+        w=W_ORDINARY,
+        w_gen=w_gen,
+        u=U_OFFSET,
+        t=PeriodicTriple(w_gen.at1 * w_gen.at2, w_gen.at2 * w_gen.at0, w_gen.at0 * w_gen.at1),
+    )
