@@ -16,7 +16,8 @@ import json
 import sys
 import time
 from fractions import Fraction
-from typing import Optional, Sequence
+from itertools import chain, zip_longest
+from typing import Iterable, Optional, Sequence
 
 from .closed_forms import binet_term, decomposed_term
 from .identities import IdentityId, verify_range
@@ -271,80 +272,72 @@ SELFTEST_SEEDS = (
 )
 
 
+#: selftest's n bound per identity: 100 for J / jL entries, 64 per seed
+#: triple for general ones, except the entries listed here.
+_SELFTEST_N_MAX = {
+    IdentityId.CATALAN_J: 64,
+    IdentityId.GELIN_CESARO_J: 64,
+    IdentityId.CATALAN_GEN: 32,
+}
+
+
+def _battery_line(label: str, outcomes: Iterable[bool]) -> tuple[str, int, bool]:
+    results = list(outcomes)
+    return label, len(results), all(results)
+
+
+def _rejects_degenerate_stride(m: int) -> bool:
+    try:
+        strided_sum_closed(JACOBSTHAL, m, m, 1)
+    except DegenerateStrideError:
+        return True
+    return False
+
+
 def _selftest_checks():
     """Yield (label, total_instances, ok) tuples for the whole battery."""
-    # closed forms vs oracle
-    count = 0
-    ok = True
-    for seeds in SELFTEST_SEEDS:
-        stream = term_range(seeds, 0, 128)
-        for n, expected in enumerate(stream):
-            ok = ok and binet_term(seeds, n) == expected
-            ok = ok and decomposed_term(seeds, n) == expected
-            count += 2
-    yield "closed-form agreement", count, ok
+    yield _battery_line("closed-form agreement", (
+        closed(seeds, n) == expected
+        for seeds in SELFTEST_SEEDS
+        for n, expected in enumerate(term_range(seeds, 0, 128))
+        for closed in (binet_term, decomposed_term)
+    ))
 
-    fixed_bounds = {
-        IdentityId.E4: 100, IdentityId.E5: 100, IdentityId.EC5: 100,
-        IdentityId.E6: 100, IdentityId.E7: 100, IdentityId.E8: 100,
-        IdentityId.E9: 100, IdentityId.E10: 100, IdentityId.E12: 100,
-        IdentityId.CATALAN_J: 64, IdentityId.CASSINI_J: 100,
-        IdentityId.GELIN_CESARO_J: 64,
-    }
-    for ident, bound in fixed_bounds.items():
-        report = verify_range(ident, n_max=bound)
-        yield ident.value, report.total, report.ok
+    for ident in IdentityId:
+        n_max = _SELFTEST_N_MAX.get(ident, 100 if ident.fixed_seeds else 64)
+        seed_set = (JACOBSTHAL,) if ident.fixed_seeds else SELFTEST_SEEDS
+        reports = [verify_range(ident, seeds, n_max=n_max) for seeds in seed_set]
+        yield ident.value, sum(rep.total for rep in reports), all(rep.ok for rep in reports)
 
-    gen_bounds = {
-        IdentityId.CATALAN_GEN: 32,
-        IdentityId.CASSINI_GEN: 64,
-        IdentityId.GELIN_CESARO_GEN: 64,
-        IdentityId.GELIN_CESARO_CASES: 64,
-    }
-    for ident, bound in gen_bounds.items():
-        total = 0
-        ok = True
-        for seeds in SELFTEST_SEEDS:
-            report = verify_range(ident, seeds, n_max=bound)
-            total += report.total
-            ok = ok and report.ok
-        yield ident.value, total, ok
+    # zip_longest pairs a missing coefficient with None, so a short series fails.
+    yield _battery_line("generating function", (
+        got == want
+        for seeds in SELFTEST_SEEDS
+        for got, want in zip_longest(gf_coefficients(seeds, 128), term_range(seeds, 0, 127))
+    ))
 
-    count = 0
-    ok = True
-    for seeds in SELFTEST_SEEDS:
-        ok = ok and gf_coefficients(seeds, 128) == term_range(seeds, 0, 127)
-        count += 128
-    yield "generating function", count, ok
-
-    count = 0
-    ok = True
     xs = (Fraction(1), Fraction(-1), Fraction(3), Fraction(1, 2), Fraction(-2, 3), Fraction(5))
-    for seeds in SELFTEST_SEEDS:
-        for x in xs:
-            for n in range(33):
-                weights = [x ** (-k) for k in range(n + 1)]
-                ok = ok and weighted_sum_closed(seeds, x, n) == sum_oracle(seeds, range(n + 1), weights)
-                count += 1
-    yield "weighted sums", count, ok
+    yield _battery_line("weighted sums", (
+        weighted_sum_closed(seeds, x, n)
+        == sum_oracle(seeds, range(n + 1), [x ** (-k) for k in range(n + 1)])
+        for seeds in SELFTEST_SEEDS
+        for x in xs
+        for n in range(33)
+    ))
 
-    count = 0
-    ok = True
-    for seeds in SELFTEST_SEEDS[:3]:
-        for m in (1, 2, 4, 5):
-            for r in range(m, m + 7):
-                for n in range(25):
-                    indices = [m * k + r for k in range(n + 1)]
-                    ok = ok and strided_sum_closed(seeds, m, r, n) == sum_oracle(seeds, indices)
-                    count += 1
-    for m in (3, 6):
-        ok = ok and StridedSumContext.of(m, m).sigma == 0
-        try:
-            strided_sum_closed(JACOBSTHAL, m, m, 1)
-            ok = False
-        except DegenerateStrideError:
-            count += 1
-    yield "strided sums", count, ok
+    yield _battery_line("strided sums", chain(
+        (
+            strided_sum_closed(seeds, m, r, n) == sum_oracle(seeds, [m * k + r for k in range(n + 1)])
+            for seeds in SELFTEST_SEEDS[:3]
+            for m in (1, 2, 4, 5)
+            for r in range(m, m + 7)
+            for n in range(25)
+        ),
+        (
+            StridedSumContext.of(m, m).sigma == 0 and _rejects_degenerate_stride(m)
+            for m in (3, 6)
+        ),
+    ))
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:

@@ -78,10 +78,6 @@ class Eisenstein:
         object.__setattr__(self, "re", _as_fraction(self.re))
         object.__setattr__(self, "om", _as_fraction(self.om))
 
-    @classmethod
-    def from_rational(cls, value: RationalLike) -> "Eisenstein":
-        return cls(_as_fraction(value), Fraction(0))
-
     def __str__(self) -> str:
         if self.om == 0:
             return str(self.re)
@@ -179,7 +175,6 @@ def _coerce(value: "Eisenstein | RationalLike") -> "Eisenstein | None":
     return None
 
 
-ZERO = Eisenstein(0)
 ONE = Eisenstein(1)
 
 #: The primitive cube root of unity (-1 + i*sqrt(3)) / 2.

@@ -29,8 +29,13 @@ are listed by residue of n mod 3.
     gelin-cesaro-cases  same value via residue-split constants
                         and the product triple t                    n >= 2
 
-The two Cassini entries are the r = 1 specializations of the Catalan
-forms and are cataloged separately only for direct access.
+Registry.  :class:`IdentityId` is the one table of the catalog: each
+member carries its CLI name, its smallest n, its r rule (no r, the grid
+0 <= r <= n, or r fixed at 1), whether it is pinned to the J / jL seeds,
+and its evaluator.  :func:`check` and :func:`verify_range` read nothing
+else.  The two Cassini entries are the r = 1 specializations of the
+Catalan forms; they share the Catalan evaluators and differ only in
+their r rule.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Mapping, NamedTuple, Optional
+from typing import Callable, Mapping, Optional
 
 from .sequences import (
     JACOBSTHAL,
@@ -49,138 +54,10 @@ from .sequences import (
     V_ORDINARY,
     companions,
     term,
+    term_range,
     u_value,
 )
-
-
-class IdentityId(Enum):
-    """Catalog labels; values double as the CLI spelling."""
-
-    E4 = "e4"
-    E5 = "e5"
-    EC5 = "ec5"
-    E6 = "e6"
-    E7 = "e7"
-    E8 = "e8"
-    E9 = "e9"
-    E10 = "e10"
-    E12 = "e12"
-    CATALAN_J = "catalan-j"
-    CASSINI_J = "cassini-j"
-    GELIN_CESARO_J = "gelin-cesaro-j"
-    CATALAN_GEN = "catalan-gen"
-    CASSINI_GEN = "cassini-gen"
-    GELIN_CESARO_GEN = "gelin-cesaro-gen"
-    GELIN_CESARO_CASES = "gelin-cesaro-cases"
-
-    @property
-    def min_n(self) -> int:
-        return _DOMAINS[self].min_n
-
-    @property
-    def uses_r(self) -> bool:
-        """True for the Catalan forms, whose instances range over (n, r)."""
-        return _DOMAINS[self].uses_r
-
-    @property
-    def fixed_seeds(self) -> bool:
-        """True when the identity is specific to the J / jL seed pair."""
-        return _DOMAINS[self].fixed_seeds
-
-
-class _Domain(NamedTuple):
-    min_n: int
-    uses_r: bool
-    fixed_seeds: bool
-
-
-_DOMAINS: dict[IdentityId, _Domain] = {
-    IdentityId.E4: _Domain(0, False, True),
-    IdentityId.E5: _Domain(3, False, True),
-    IdentityId.EC5: _Domain(0, False, True),
-    IdentityId.E6: _Domain(0, False, True),
-    IdentityId.E7: _Domain(0, False, True),
-    IdentityId.E8: _Domain(0, False, True),
-    IdentityId.E9: _Domain(3, False, True),
-    IdentityId.E10: _Domain(0, False, True),
-    IdentityId.E12: _Domain(3, False, True),
-    IdentityId.CATALAN_J: _Domain(0, True, True),
-    IdentityId.CASSINI_J: _Domain(1, False, True),
-    IdentityId.GELIN_CESARO_J: _Domain(2, False, True),
-    IdentityId.CATALAN_GEN: _Domain(0, True, False),
-    IdentityId.CASSINI_GEN: _Domain(1, False, False),
-    IdentityId.GELIN_CESARO_GEN: _Domain(2, False, False),
-    IdentityId.GELIN_CESARO_CASES: _Domain(2, False, False),
-}
-
-_CASSINI_IDS = frozenset({IdentityId.CASSINI_J, IdentityId.CASSINI_GEN})
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    """Outcome of a single identity instance."""
-
-    identity: IdentityId
-    params: SequenceParams
-    n: int
-    r: Optional[int]
-    lhs: Fraction
-    rhs: Fraction
-    witness: Mapping[str, Fraction] = field(default_factory=dict)
-
-    @property
-    def equal(self) -> bool:
-        return self.lhs == self.rhs
-
-
-#: Failing instances reported verbatim per Report; the rest are counted only.
-MAX_FAILURE_WITNESSES = 16
-
-
-@dataclass(frozen=True)
-class Report:
-    """Aggregate of a sweep; serializes to the documented JSON shape."""
-
-    identity: IdentityId
-    params: SequenceParams
-    total: int
-    passed: int
-    failed: int
-    failures: tuple[CheckResult, ...]
-
-    @classmethod
-    def from_results(
-        cls, identity: IdentityId, params: SequenceParams, results: list[CheckResult]
-    ) -> "Report":
-        failing = [res for res in results if not res.equal]
-        return cls(
-            identity=identity,
-            params=params,
-            total=len(results),
-            passed=len(results) - len(failing),
-            failed=len(failing),
-            failures=tuple(failing[:MAX_FAILURE_WITNESSES]),
-        )
-
-    @property
-    def ok(self) -> bool:
-        return self.failed == 0
-
-    def to_json_dict(self) -> dict:
-        return {
-            "identity": self.identity.value,
-            "params": [str(self.params.a), str(self.params.b), str(self.params.c)],
-            "total": self.total,
-            "passed": self.passed,
-            "failed": self.failed,
-            "failures": [
-                {"n": res.n, "r": res.r, "lhs": str(res.lhs), "rhs": str(res.rhs)}
-                for res in self.failures
-            ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
+from .sums import prefix_sum_closed
 
 
 def catalan_rhs(params: SequenceParams, n: int, r: int) -> Fraction:
@@ -318,9 +195,7 @@ def _eval_e9(params, n, r):
 
 
 def _eval_e10(params, n, r):
-    lhs = sum(term(JACOBSTHAL, k) for k in range(n + 1))
-    rhs = term(JACOBSTHAL, n + 1) - (1 if n % 3 == 0 else 0)
-    return lhs, rhs, {}
+    return sum(term_range(JACOBSTHAL, 0, n)), prefix_sum_closed(n), {}
 
 
 def _eval_e12(params, n, r):
@@ -393,24 +268,126 @@ def _eval_gelin_cases(params, n, r):
 
 _Evaluator = Callable[[SequenceParams, int, Optional[int]], tuple]
 
-_EVALUATORS: dict[IdentityId, _Evaluator] = {
-    IdentityId.E4: _eval_e4,
-    IdentityId.E5: _eval_e5,
-    IdentityId.EC5: _eval_ec5,
-    IdentityId.E6: _eval_e6,
-    IdentityId.E7: _eval_e7,
-    IdentityId.E8: _eval_e8,
-    IdentityId.E9: _eval_e9,
-    IdentityId.E10: _eval_e10,
-    IdentityId.E12: _eval_e12,
-    IdentityId.CATALAN_J: _eval_catalan_j,
-    IdentityId.CASSINI_J: _eval_catalan_j,
-    IdentityId.GELIN_CESARO_J: _eval_gelin_j,
-    IdentityId.CATALAN_GEN: _eval_catalan_gen,
-    IdentityId.CASSINI_GEN: _eval_catalan_gen,
-    IdentityId.GELIN_CESARO_GEN: _eval_gelin_gen,
-    IdentityId.GELIN_CESARO_CASES: _eval_gelin_cases,
-}
+
+class _RRule(Enum):
+    """Which r an instance of an identity takes."""
+
+    NONE = "no r"
+    GRID = "0 <= r <= n"
+    ONE = "r = 1"
+
+
+class IdentityId(Enum):
+    """The catalog registry; values double as the CLI spelling.
+
+    Each member is declared once, as (CLI name, min_n, r rule,
+    fixed_seeds, evaluator).
+    """
+
+    #: Smallest n in the identity's domain.
+    min_n: int
+    #: True when the identity is specific to the J / jL seed pair.
+    fixed_seeds: bool
+
+    E4 = "e4", 0, _RRule.NONE, True, _eval_e4
+    E5 = "e5", 3, _RRule.NONE, True, _eval_e5
+    EC5 = "ec5", 0, _RRule.NONE, True, _eval_ec5
+    E6 = "e6", 0, _RRule.NONE, True, _eval_e6
+    E7 = "e7", 0, _RRule.NONE, True, _eval_e7
+    E8 = "e8", 0, _RRule.NONE, True, _eval_e8
+    E9 = "e9", 3, _RRule.NONE, True, _eval_e9
+    E10 = "e10", 0, _RRule.NONE, True, _eval_e10
+    E12 = "e12", 3, _RRule.NONE, True, _eval_e12
+    CATALAN_J = "catalan-j", 0, _RRule.GRID, True, _eval_catalan_j
+    CASSINI_J = "cassini-j", 1, _RRule.ONE, True, _eval_catalan_j
+    GELIN_CESARO_J = "gelin-cesaro-j", 2, _RRule.NONE, True, _eval_gelin_j
+    CATALAN_GEN = "catalan-gen", 0, _RRule.GRID, False, _eval_catalan_gen
+    CASSINI_GEN = "cassini-gen", 1, _RRule.ONE, False, _eval_catalan_gen
+    GELIN_CESARO_GEN = "gelin-cesaro-gen", 2, _RRule.NONE, False, _eval_gelin_gen
+    GELIN_CESARO_CASES = "gelin-cesaro-cases", 2, _RRule.NONE, False, _eval_gelin_cases
+
+    def __new__(
+        cls, value: str, min_n: int, r_rule: _RRule, fixed_seeds: bool, evaluate: _Evaluator
+    ) -> "IdentityId":
+        member = object.__new__(cls)
+        member._value_ = value
+        member.min_n = min_n
+        member._r_rule = r_rule
+        member.fixed_seeds = fixed_seeds
+        member._evaluate = evaluate
+        return member
+
+    @property
+    def uses_r(self) -> bool:
+        """True for the Catalan forms, whose instances range over (n, r)."""
+        return self._r_rule is _RRule.GRID
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    """Outcome of a single identity instance."""
+
+    identity: IdentityId
+    params: SequenceParams
+    n: int
+    r: Optional[int]
+    lhs: Fraction
+    rhs: Fraction
+    witness: Mapping[str, Fraction] = field(default_factory=dict)
+
+    @property
+    def equal(self) -> bool:
+        return self.lhs == self.rhs
+
+
+#: Failing instances reported verbatim per Report; the rest are counted only.
+MAX_FAILURE_WITNESSES = 16
+
+
+@dataclass(frozen=True)
+class Report:
+    """Aggregate of a sweep; serializes to the documented JSON shape."""
+
+    identity: IdentityId
+    params: SequenceParams
+    total: int
+    passed: int
+    failed: int
+    failures: tuple[CheckResult, ...]
+
+    @classmethod
+    def from_results(
+        cls, identity: IdentityId, params: SequenceParams, results: list[CheckResult]
+    ) -> "Report":
+        failing = [res for res in results if not res.equal]
+        return cls(
+            identity=identity,
+            params=params,
+            total=len(results),
+            passed=len(results) - len(failing),
+            failed=len(failing),
+            failures=tuple(failing[:MAX_FAILURE_WITNESSES]),
+        )
+
+    @property
+    def ok(self) -> bool:
+        return self.failed == 0
+
+    def to_json_dict(self) -> dict:
+        return {
+            "identity": self.identity.value,
+            "params": [str(self.params.a), str(self.params.b), str(self.params.c)],
+            "total": self.total,
+            "passed": self.passed,
+            "failed": self.failed,
+            "failures": [
+                {"n": res.n, "r": res.r, "lhs": str(res.lhs), "rhs": str(res.rhs)}
+                for res in self.failures
+            ],
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict())
 
 
 def check(
@@ -428,22 +405,22 @@ def check(
     >>> check(IdentityId.E4, n=5).equal
     True
     """
-    domain = _DOMAINS[identity]
-    if n < domain.min_n:
-        raise ValueError(f"{identity.value} requires n >= {domain.min_n}, got n={n}")
-    if identity in _CASSINI_IDS:
+    if n < identity.min_n:
+        raise ValueError(f"{identity.value} requires n >= {identity.min_n}, got n={n}")
+    rule = identity._r_rule
+    if rule is _RRule.ONE:
         if r not in (None, 1):
             raise ValueError(f"{identity.value} fixes r = 1, got r={r}")
         r = 1
-    elif domain.uses_r:
+    elif rule is _RRule.GRID:
         if r is None:
             raise ValueError(f"{identity.value} requires r with 0 <= r <= n")
         if r < 0 or r > n:
             raise ValueError(f"{identity.value} requires 0 <= r <= n, got n={n}, r={r}")
     elif r is not None:
         raise ValueError(f"{identity.value} does not take r")
-    effective = JACOBSTHAL if domain.fixed_seeds else params
-    lhs, rhs, witness = _EVALUATORS[identity](effective, n, r)
+    effective = JACOBSTHAL if identity.fixed_seeds else params
+    lhs, rhs, witness = identity._evaluate(effective, n, r)
     return CheckResult(
         identity=identity, params=effective, n=n, r=r, lhs=lhs, rhs=rhs, witness=witness
     )
@@ -462,20 +439,19 @@ def verify_range(
     deterministic.  Bounds that leave the grid empty raise ValueError: an
     empty sweep checks nothing, so it must not pass.
     """
-    domain = _DOMAINS[identity]
-    if n_max < domain.min_n:
+    if n_max < identity.min_n:
         raise ValueError(
-            f"n_max for {identity.value} must be at least {domain.min_n}, got {n_max}"
+            f"n_max for {identity.value} must be at least {identity.min_n}, got {n_max}"
         )
-    if domain.uses_r and r_max is not None and r_max < 0:
+    if identity.uses_r and r_max is not None and r_max < 0:
         raise ValueError(f"r_max for {identity.value} must be nonnegative, got {r_max}")
     results: list[CheckResult] = []
-    for n in range(domain.min_n, n_max + 1):
-        if domain.uses_r and identity not in _CASSINI_IDS:
+    for n in range(identity.min_n, n_max + 1):
+        if identity.uses_r:
             top = n if r_max is None else min(n, r_max)
             for r in range(top + 1):
                 results.append(check(identity, params, n, r))
         else:
             results.append(check(identity, params, n))
-    effective = JACOBSTHAL if domain.fixed_seeds else params
+    effective = JACOBSTHAL if identity.fixed_seeds else params
     return Report.from_results(identity, effective, results)

@@ -16,10 +16,11 @@ where V is periodic with period 3.  This module provides:
 
 * :func:`term` / :func:`term_range`, the plain iterative evaluator used as
   the ground-truth oracle by every closed form and identity check, and
-* :func:`companions`, the period-3 triples appearing in those closed forms
-  (the remainder triple V, the Cassini companion W with 7*W(n+2) =
-  5*V(n+1) - 3*V(n), the Catalan offset U, and the product triple
-  T(n) = W(n+1)*W(n+2)).
+* :func:`companions`, the seed-dependent period-3 triples appearing in
+  those closed forms (the remainder triple V, the Cassini companion W with
+  7*W(n+2) = 5*V(n+1) - 3*V(n), and the product triple
+  T(n) = W(n+1)*W(n+2)), next to the seed-independent constants
+  V_ORDINARY, W_ORDINARY and the Catalan offset U_OFFSET.
 
 All values are immutable and all functions are pure.  Oracle prefixes are
 memoized per seed triple in a module cache (replace-on-write, so concurrent
@@ -85,7 +86,7 @@ class SequenceParams:
             w_gen.at2 * w_gen.at0,
             w_gen.at0 * w_gen.at1,
         )
-        return CompanionSet(v=V_ORDINARY, v_gen=v_gen, w=W_ORDINARY, w_gen=w_gen, u=U_OFFSET, t=t)
+        return CompanionSet(v_gen=v_gen, w_gen=w_gen, t=t)
 
     def __str__(self) -> str:
         return f"({self.a}, {self.b}, {self.c})"
@@ -120,23 +121,19 @@ class PeriodicTriple:
 
 @dataclass(frozen=True)
 class CompanionSet:
-    """The six period-3 companions of a seed triple.
+    """The period-3 companions that depend on a seed triple.
 
-    v       remainder triple (2, -3, 1) of the Jacobsthal numbers
     v_gen   remainder triple of the given seeds, rho*2**n - 7*X(n)
-    w       Cassini companion (2, 1, -3) of the Jacobsthal numbers
     w_gen   Cassini companion of the given seeds, 7*w_gen(n+2) =
             5*v_gen(n+1) - 3*v_gen(n)
-    u       Catalan offset (1, -1, 0), evaluated at r - 1; shared by all
-            seed triples
     t       product triple t(n) = w_gen(n+1) * w_gen(n+2)
+
+    The seed-independent triples are the module constants V_ORDINARY,
+    W_ORDINARY and U_OFFSET.
     """
 
-    v: PeriodicTriple
     v_gen: PeriodicTriple
-    w: PeriodicTriple
     w_gen: PeriodicTriple
-    u: PeriodicTriple
     t: PeriodicTriple
 
 

@@ -1,6 +1,7 @@
 """CLI surface: formats, exit codes, round trips, determinism."""
 
 import json
+import re
 import sys
 
 from jacobsthal3.cli import main
@@ -255,3 +256,35 @@ def test_selftest_passes(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert out.count("PASS") >= 20
+
+
+SELFTEST_STDOUT = """\
+PASS  closed-form agreement    (1290 checks)
+PASS  e4                       (101 checks)
+PASS  e5                       (98 checks)
+PASS  ec5                      (101 checks)
+PASS  e6                       (101 checks)
+PASS  e7                       (101 checks)
+PASS  e8                       (101 checks)
+PASS  e9                       (98 checks)
+PASS  e10                      (101 checks)
+PASS  e12                      (98 checks)
+PASS  catalan-j                (2145 checks)
+PASS  cassini-j                (100 checks)
+PASS  gelin-cesaro-j           (63 checks)
+PASS  catalan-gen              (2805 checks)
+PASS  cassini-gen              (320 checks)
+PASS  gelin-cesaro-gen         (315 checks)
+PASS  gelin-cesaro-cases       (315 checks)
+PASS  generating function      (640 checks)
+PASS  weighted sums            (990 checks)
+PASS  strided sums             (2102 checks)
+"""
+
+
+def test_selftest_lines_and_counts_are_pinned(capsys):
+    code, out, _ = run(capsys, "selftest")
+    assert code == 0
+    battery, _, last = out.rpartition("PASS  selftest finished in ")
+    assert battery == SELFTEST_STDOUT
+    assert re.fullmatch(r"\d+\.\ds\n", last)

@@ -255,3 +255,35 @@ def test_witnesses_expose_intermediates():
     assert result.witness["rho"] == 6
     assert result.witness["quartic"] == 1
     assert result.witness["U(r)"] == 1
+
+
+REGISTRY = [
+    ("e4", 0, False, True),
+    ("e5", 3, False, True),
+    ("ec5", 0, False, True),
+    ("e6", 0, False, True),
+    ("e7", 0, False, True),
+    ("e8", 0, False, True),
+    ("e9", 3, False, True),
+    ("e10", 0, False, True),
+    ("e12", 3, False, True),
+    ("catalan-j", 0, True, True),
+    ("cassini-j", 1, False, True),
+    ("gelin-cesaro-j", 2, False, True),
+    ("catalan-gen", 0, True, False),
+    ("cassini-gen", 1, False, False),
+    ("gelin-cesaro-gen", 2, False, False),
+    ("gelin-cesaro-cases", 2, False, False),
+]
+
+
+@pytest.mark.parametrize("position, entry", enumerate(REGISTRY), ids=[row[0] for row in REGISTRY])
+def test_registry_entry(position, entry):
+    value, min_n, uses_r, fixed_seeds = entry
+    ident = IdentityId(value)
+    assert list(IdentityId)[position] is ident
+    assert (ident.value, ident.min_n, ident.uses_r, ident.fixed_seeds) == entry
+
+
+def test_registry_has_no_other_entries():
+    assert len(IdentityId) == len(REGISTRY)

@@ -195,10 +195,7 @@ def test_companions_are_built_once_per_params():
     a, b, c = params.a, params.b, params.c
     w_gen = PeriodicTriple(-3 * c + 5 * b + 2 * a, 2 * c - b - 6 * a, c - 4 * b + 4 * a)
     assert comp == CompanionSet(
-        v=V_ORDINARY,
         v_gen=PeriodicTriple(c + b - 6 * a, 2 * c - 5 * b + 2 * a, -3 * c + 4 * b + 4 * a),
-        w=W_ORDINARY,
         w_gen=w_gen,
-        u=U_OFFSET,
         t=PeriodicTriple(w_gen.at1 * w_gen.at2, w_gen.at2 * w_gen.at0, w_gen.at0 * w_gen.at1),
     )
