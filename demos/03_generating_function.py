@@ -22,8 +22,8 @@ from jacobsthal3 import (
 
 params = SequenceParams(2, 1, 5)
 num = gf_numerator(params)
-print(f"seeds (2, 1, 5): numerator coefficients {num.coefficients},")
-print(f"denominator {RECURRENCE_DENOMINATOR.coefficients}")
+print("seeds (2, 1, 5): numerator coefficients", ", ".join(str(x) for x in num))
+print("denominator coefficients", ", ".join(str(x) for x in RECURRENCE_DENOMINATOR))
 print()
 
 count = 12

@@ -41,7 +41,7 @@ from .sequences import (
     term_range,
     u_value,
 )
-from .series import Poly, RECURRENCE_DENOMINATOR, gf_coefficients, gf_numerator, series_div
+from .series import RECURRENCE_DENOMINATOR, gf_coefficients, gf_numerator, series_div
 from .sums import (
     DegenerateStrideError,
     StridedSumContext,
@@ -68,7 +68,6 @@ __all__ = [
     "OMEGA1",
     "OMEGA2",
     "PeriodicTriple",
-    "Poly",
     "RECURRENCE_DENOMINATOR",
     "Rational",
     "Report",

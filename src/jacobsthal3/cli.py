@@ -141,21 +141,14 @@ def cmd_gen(args: argparse.Namespace) -> int:
                     f"b-file output requires integer values, got {value} at n={n}; "
                     "use csv or json for fractional seeds"
                 )
-    # Terms from about n = 14,290 have more digits than the interpreter lets
-    # str() produce by default; gen prints every term it can compute.
-    digit_limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        if args.format == "csv":
-            lines = ["n,value"] + [f"{n},{value}" for n, value in rows]
-            text = "\n".join(lines) + "\n"
-        elif args.format == "bfile":
-            text = "".join(f"{n} {value}\n" for n, value in rows)
-        else:
-            payload = [{"n": n, "value": str(value)} for n, value in rows]
-            text = json.dumps(payload) + "\n"
-    finally:
-        sys.set_int_max_str_digits(digit_limit)
+    if args.format == "csv":
+        lines = ["n,value"] + [f"{n},{value}" for n, value in rows]
+        text = "\n".join(lines) + "\n"
+    elif args.format == "bfile":
+        text = "".join(f"{n} {value}\n" for n, value in rows)
+    else:
+        payload = [{"n": n, "value": str(value)} for n, value in rows]
+        text = json.dumps(payload) + "\n"
     _emit(text, args.output)
     return 0
 
@@ -360,6 +353,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    # Terms from about n = 14,290 have more digits than the interpreter lets
+    # str() produce by default; every command prints each value in full.
+    digit_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except UsageError as exc:
@@ -370,6 +367,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 3
     except BrokenPipeError:
         return 0
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
 
 
 def run() -> None:

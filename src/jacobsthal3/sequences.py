@@ -22,12 +22,15 @@ where V is periodic with period 3.  This module provides:
   T(n) = W(n+1)*W(n+2)), next to the seed-independent constants
   V_ORDINARY, W_ORDINARY and the Catalan offset U_OFFSET.
 
-All values are immutable and all functions are pure.  Oracle prefixes are
-memoized per seed triple in a module cache (replace-on-write, so concurrent
-callers at worst recompute identical values).  Everything else derived from
-a seed (its hash, rho, the seed form and the companion triples) is computed
-on first use and kept on the :class:`SequenceParams` instance, so it lives
-exactly as long as the params object.  The oracle reads none of it.
+All values are immutable and all functions are pure.  Everything derived
+from a seed triple is kept on its :class:`SequenceParams` instance and
+lives exactly as long as that instance: the oracle prefix X(0..N), rho, the
+seed form and the companion triples.  The module presets JACOBSTHAL and
+JACOBSTHAL_LUCAS, like any params held at module level, therefore keep
+theirs for the life of the process.  The prefix is replaced wholesale when
+it grows, never mutated, so concurrent callers at worst recompute
+identical values.  The oracle reads nothing but the seeds and its own
+prefix.
 """
 
 from __future__ import annotations
@@ -41,7 +44,14 @@ from .eisenstein import _as_fraction
 
 @dataclass(frozen=True)
 class SequenceParams:
-    """The rational seed triple (a, b, c) of the recurrence."""
+    """The rational seed triple (a, b, c) of the recurrence.
+
+    Each instance also keeps what is derived from its seeds: the oracle
+    prefix X(0..N) of :func:`term`, grown on demand, and, computed on first
+    use, rho, the seed form and the companion triples.  None of it is a
+    dataclass field, so equality, hash and repr see only (a, b, c), and all
+    of it lives exactly as long as the instance.
+    """
 
     a: Fraction
     b: Fraction
@@ -52,12 +62,7 @@ class SequenceParams:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
-        # Every oracle cache lookup hashes the params; hashing three
-        # Fractions each time costs more than the lookup itself.
-        object.__setattr__(self, "_hash", hash((a, b, c)))
-
-    def __hash__(self) -> int:
-        return self._hash
+        object.__setattr__(self, "_prefix", (a, b, c))
 
     @cached_property
     def rho(self) -> Fraction:
@@ -171,21 +176,16 @@ def _check_index(name: str, value: int) -> None:
         raise TypeError(f"{name} must be an int, got {type(value).__name__}")
 
 
-# Memoized oracle prefixes, one immutable tuple per seed triple.  Entries are
-# replaced wholesale, never mutated, so readers always see a consistent state.
-_TERM_CACHE: dict[SequenceParams, tuple[Fraction, ...]] = {}
-
-
 def _terms_through(params: SequenceParams, n: int) -> tuple[Fraction, ...]:
-    cached = _TERM_CACHE.get(params)
-    if cached is not None and len(cached) > n:
-        return cached
-    values = list(cached) if cached is not None else [params.a, params.b, params.c]
+    prefix = params._prefix
+    if len(prefix) > n:
+        return prefix
+    values = list(prefix)
     target = max(n + 1, 2 * len(values))
     while len(values) < target:
         values.append(values[-1] + values[-2] + 2 * values[-3])
     result = tuple(values)
-    _TERM_CACHE[params] = result
+    object.__setattr__(params, "_prefix", result)
     return result
 
 

@@ -1,9 +1,9 @@
 """Truncated formal power series over Q.
 
 Just enough machinery to expand a rational generating function
-coefficient-by-coefficient: dense polynomials with Fraction coefficients
-and long division of formal power series.  The recurrence family has the
-generating function
+coefficient-by-coefficient: long division of formal power series, with
+numerator and denominator given as plain coefficient sequences (index =
+power of t).  The recurrence family has the generating function
 
     (a + (b - a)*t + (c - b - a)*t**2) / (1 - t - t**2 - 2*t**3),
 
@@ -14,56 +14,17 @@ which is plenty for desk-scale counts over exact rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 from .eisenstein import RationalLike, _as_fraction
 from .sequences import SequenceParams
 
-PolyLike = Union["Poly", Sequence[RationalLike]]
-
-
-@dataclass(frozen=True)
-class Poly:
-    """A dense polynomial over Q; index = power of t.
-
-    The stored form is canonical: trailing zero coefficients are trimmed,
-    so the zero polynomial has no coefficients and degree -infinity.
-    """
-
-    coefficients: tuple[Fraction, ...] = ()
-
-    def __post_init__(self) -> None:
-        coeffs = tuple(_as_fraction(value) for value in self.coefficients)
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coefficients", coeffs)
-
-    @property
-    def degree(self) -> "int | float":
-        return len(self.coefficients) - 1 if self.coefficients else float("-inf")
-
-    def __getitem__(self, power: int) -> Fraction:
-        if 0 <= power < len(self.coefficients):
-            return self.coefficients[power]
-        return Fraction(0)
-
-    def __bool__(self) -> bool:
-        return bool(self.coefficients)
-
-
-def _as_poly(value: PolyLike) -> Poly:
-    if isinstance(value, Poly):
-        return value
-    return Poly(tuple(value))
-
-
 #: 1 - t - t**2 - 2*t**3, the denominator shared by every seed triple.
-RECURRENCE_DENOMINATOR = Poly((1, -1, -1, -2))
+RECURRENCE_DENOMINATOR = (1, -1, -1, -2)
 
 
-def series_div(num: PolyLike, den: PolyLike, count: int) -> list[Fraction]:
+def series_div(num: Sequence[RationalLike], den: Sequence[RationalLike], count: int) -> list[Fraction]:
     """First `count` coefficients of num/den as a formal power series.
 
     Long division: c[n] = (num[n] - sum(den[k]*c[n-k], k=1..n)) / den[0].
@@ -75,24 +36,24 @@ def series_div(num: PolyLike, den: PolyLike, count: int) -> list[Fraction]:
     """
     if count < 1:
         raise ValueError(f"coefficient count must be positive, got {count}")
-    num = _as_poly(num)
-    den = _as_poly(den)
-    if den[0] == 0:
+    num = [_as_fraction(value) for value in num]
+    den = [_as_fraction(value) for value in den]
+    if not den or den[0] == 0:
         raise ValueError("denominator constant term is zero: not a unit in the power-series ring")
+    num += [Fraction(0)] * (count - len(num))
     out: list[Fraction] = []
-    reach = len(den.coefficients) - 1
     for n in range(count):
         acc = num[n]
-        for k in range(1, min(n, reach) + 1):
+        for k in range(1, min(n + 1, len(den))):
             acc -= den[k] * out[n - k]
         out.append(acc / den[0])
     return out
 
 
-def gf_numerator(params: SequenceParams) -> Poly:
-    """a + (b - a)*t + (c - b - a)*t**2 for the given seeds."""
+def gf_numerator(params: SequenceParams) -> tuple[Fraction, Fraction, Fraction]:
+    """a + (b - a)*t + (c - b - a)*t**2 for the given seeds, as coefficients."""
     a, b, c = params.a, params.b, params.c
-    return Poly((a, b - a, c - b - a))
+    return (a, b - a, c - b - a)
 
 
 def gf_coefficients(params: SequenceParams, count: int) -> list[Fraction]:

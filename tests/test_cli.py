@@ -4,6 +4,8 @@ import json
 import re
 import sys
 
+import pytest
+
 from jacobsthal3.cli import main
 from jacobsthal3.sequences import JACOBSTHAL, term, term_range
 
@@ -238,16 +240,22 @@ def test_unwritable_output_exits_3(capsys):
     assert "Traceback" not in err
 
 
-def test_gen_prints_terms_past_the_int_digit_limit(capsys):
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("gen", "--from", "15000", "--to", "15000"), lambda: term(JACOBSTHAL, 15000)),
+        (("sum", "--mode", "prefix", "--n", "15000"), lambda: sum(term_range(JACOBSTHAL, 0, 15000))),
+        (("gf", "--terms", "14400", "--format", "json"), lambda: term(JACOBSTHAL, 14399)),
+    ],
+    ids=["gen", "sum-prefix", "gf-json"],
+)
+def test_gen_prints_terms_past_the_int_digit_limit(capsys, argv, expected):
     limit = sys.get_int_max_str_digits()
-    code, out, _ = run(capsys, "gen", "--from", "15000", "--to", "15000")
+    code, out, err = run(capsys, *argv)
     assert code == 0
-    header, row = out.splitlines()
-    n, value = row.split(",")
-    assert n == "15000"
-    expected = term(JACOBSTHAL, 15000).numerator
-    assert len(value) > 4300
-    assert int(value[-50:]) == expected % 10**50
+    assert "Traceback" not in out + err
+    tail = expected().numerator % 10**50
+    assert any(len(digits) > 4300 and int(digits[-50:]) == tail for digits in re.findall(r"\d+", out))
     assert sys.get_int_max_str_digits() == limit
 
 

@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -183,9 +185,19 @@ def test_equal_seeds_give_equal_params_and_hashes():
 
 def test_cached_seed_data_stays_out_of_repr_and_fields():
     params = SequenceParams(1, 2, 3)
-    companions(params), params.rho, params.quartic
+    companions(params), params.rho, params.quartic, term(params, 50)
     assert repr(params) == "SequenceParams(a=Fraction(1, 1), b=Fraction(2, 1), c=Fraction(3, 1))"
     assert [f.name for f in dataclasses.fields(params)] == ["a", "b", "c"]
+
+
+def test_oracle_prefix_is_freed_with_its_params():
+    # seeds no other test uses, so no equal params computed earlier can hold the prefix
+    params = SequenceParams(1, 2, 1003)
+    term(params, 2000)
+    ref = weakref.ref(params)
+    del params
+    gc.collect()
+    assert ref() is None
 
 
 def test_companions_are_built_once_per_params():

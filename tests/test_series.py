@@ -4,33 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jacobsthal3.sequences import JACOBSTHAL, JACOBSTHAL_LUCAS, SequenceParams, term_range
-from jacobsthal3.series import (
-    Poly,
-    RECURRENCE_DENOMINATOR,
-    gf_coefficients,
-    gf_numerator,
-    series_div,
-)
+from jacobsthal3.series import RECURRENCE_DENOMINATOR, gf_coefficients, gf_numerator, series_div
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=20)
 seed_triples = st.builds(SequenceParams, rationals, rationals, rationals)
-
-
-def test_poly_trims_trailing_zeros():
-    assert Poly((1, 2, 0, 0)).coefficients == (1, 2)
-    assert Poly((0, 0)).coefficients == ()
-
-
-def test_poly_degree():
-    assert Poly((1, -1, -1, -2)).degree == 3
-    assert Poly(()).degree == float("-inf")
-    assert Poly((5,)).degree == 0
-
-
-def test_poly_indexing_beyond_degree_is_zero():
-    p = Poly((1, 2))
-    assert p[0] == 1
-    assert p[5] == 0
 
 
 def test_series_div_jacobsthal_stream():
@@ -51,14 +28,26 @@ def test_series_div_requires_unit_denominator():
         series_div([1], [0, 1], 4)
 
 
+def test_series_div_requires_a_constant_term():
+    with pytest.raises(ValueError, match="unit"):
+        series_div([1], [], 4)
+
+
+def test_series_div_rejects_floats():
+    with pytest.raises(TypeError, match="float"):
+        series_div([1], [1, 0.5], 4)
+    with pytest.raises(TypeError, match="float"):
+        series_div([0.5], [1], 4)
+
+
 def test_series_div_requires_positive_count():
     with pytest.raises(ValueError):
         series_div([1], [1], 0)
 
 
 def test_gf_numerator():
-    assert gf_numerator(JACOBSTHAL).coefficients == (0, 1)
-    assert gf_numerator(JACOBSTHAL_LUCAS).coefficients == (2, -1, 2)
+    assert gf_numerator(JACOBSTHAL) == (0, 1, 0)
+    assert gf_numerator(JACOBSTHAL_LUCAS) == (2, -1, 2)
 
 
 def test_gf_examples():
@@ -86,7 +75,7 @@ def test_multiplying_back_recovers_numerator(params):
     count = 24
     stream = gf_coefficients(params, count)
     den = RECURRENCE_DENOMINATOR
-    num = gf_numerator(params)
+    num = gf_numerator(params) + (0,) * (count - 3)
     for n in range(count):
-        convolved = sum(den[k] * stream[n - k] for k in range(0, min(n, den.degree) + 1))
+        convolved = sum(den[k] * stream[n - k] for k in range(0, min(n + 1, len(den))))
         assert convolved == num[n]
