@@ -2,4 +2,5 @@
 
 from .cli import run
 
-run()
+if __name__ == "__main__":
+    run()

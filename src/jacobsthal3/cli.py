@@ -7,6 +7,11 @@ closed forms against the oracle), selftest (run the whole battery).
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error
 (the --output file cannot be written).  Output is deterministic: identical
 invocations produce byte-identical results.
+
+gen streams: it writes each line as soon as the term is computed, keeping
+three terms in memory whatever the range.  Its usage errors are all raised
+before anything is written, but a write error partway through still exits 3
+and may leave a partial --output file.
 """
 
 from __future__ import annotations
@@ -15,9 +20,11 @@ import argparse
 import json
 import sys
 import time
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
 from fractions import Fraction
-from itertools import chain, zip_longest
-from typing import Iterable, Optional, Sequence
+from itertools import chain, islice, zip_longest
+from math import gcd, lcm
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .closed_forms import binet_term, decomposed_term
 from .identities import IdentityId, verify_range
@@ -113,13 +120,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, output: Optional[str]) -> None:
+def _emit(lines: Iterable[str], output: Optional[str]) -> None:
+    """Write lines to stdout, or to the file output, as they are produced."""
     if output is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
     else:
         try:
             with open(output, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(text)
+                handle.writelines(lines)
         except OSError as exc:
             raise OutputError(f"cannot write {output}: {exc.strerror or exc}") from exc
 
@@ -128,28 +136,72 @@ def _params(args: argparse.Namespace) -> SequenceParams:
     return SequenceParams(args.a, args.b, args.c)
 
 
+#: Exact integer arithmetic in base 10, where text conversion is linear in
+#: the digit count (int's is quadratic).  Rounding of any kind raises.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
+
+
+def _term_texts(params: SequenceParams, first: int, last: int) -> Iterator[str]:
+    """str(X(n)) for first <= n <= last, rendered as str(Fraction) renders it.
+
+    Runs the recurrence on Decimal integers, the seeds scaled by the lcm D
+    of their denominators, and keeps three terms.  Uses the methods of an
+    exact context rather than localcontext, so the caller's decimal context
+    stays in force while the generator is suspended.
+
+    >>> list(_term_texts(SequenceParams(Fraction(1, 2), 0, 0), 0, 6))
+    ['1/2', '0', '0', '1', '1', '2', '5']
+    """
+    add, multiply = _EXACT.add, _EXACT.multiply
+    scale = lcm(params.a.denominator, params.b.denominator, params.c.denominator)
+    divisor, two = Decimal(scale), Decimal(2)
+    x0, x1, x2 = (Decimal(int(seed * scale)) for seed in (params.a, params.b, params.c))
+
+    def text(y: Decimal) -> str:
+        if scale == 1:
+            return str(y)
+        g = gcd(int(_EXACT.remainder(y, divisor)), scale)
+        numerator = str(_EXACT.divide_int(y, Decimal(g)))
+        return numerator if g == scale else f"{numerator}/{scale // g}"
+
+    for n in range(last + 1):
+        if n >= first:
+            yield text(x0)
+        x0, x1, x2 = x1, x2, add(add(x2, x1), multiply(two, x0))
+
+
+def _json_rows(rows: Iterable[tuple[int, str]]) -> Iterator[str]:
+    """json.dumps([{"n": n, "value": text}, ...]) + "\n", one row at a time.
+
+    The texts hold only digits, "-" and "/", which JSON does not escape.
+    """
+    separator = "["
+    for n, text in rows:
+        yield f'{separator}{{"n": {n}, "value": "{text}"}}'
+        separator = ", "
+    yield "]\n"
+
+
 def cmd_gen(args: argparse.Namespace) -> int:
     if args.start < 0 or args.start > args.stop:
         raise UsageError(f"need 0 <= from <= to, got from={args.start}, to={args.stop}")
-    params = _params(args)
-    values = term_range(params, args.start, args.stop)
-    rows = list(zip(range(args.start, args.stop + 1), values))
+    rows = zip(range(args.start, args.stop + 1), _term_texts(_params(args), args.start, args.stop))
     if args.format == "bfile":
-        for n, value in rows:
-            if value.denominator != 1:
+        # The recurrence has integer coefficients, so when three consecutive
+        # terms are integers every later term is one too.
+        head = list(islice(rows, 3))
+        for n, text in head:
+            if "/" in text:
                 raise UsageError(
-                    f"b-file output requires integer values, got {value} at n={n}; "
+                    f"b-file output requires integer values, got {text} at n={n}; "
                     "use csv or json for fractional seeds"
                 )
-    if args.format == "csv":
-        lines = ["n,value"] + [f"{n},{value}" for n, value in rows]
-        text = "\n".join(lines) + "\n"
-    elif args.format == "bfile":
-        text = "".join(f"{n} {value}\n" for n, value in rows)
+        lines = (f"{n} {text}\n" for n, text in chain(head, rows))
+    elif args.format == "csv":
+        lines = chain(("n,value\n",), (f"{n},{text}\n" for n, text in rows))
     else:
-        payload = [{"n": n, "value": str(value)} for n, value in rows]
-        text = json.dumps(payload) + "\n"
-    _emit(text, args.output)
+        lines = _json_rows(rows)
+    _emit(lines, args.output)
     return 0
 
 
@@ -168,7 +220,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         report = verify_range(ident, params, n_max=args.n_max, r_max=args.r_max)
         all_ok = all_ok and report.ok
         lines.append(report.to_json())
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit(("\n".join(lines) + "\n",), args.output)
     return 0 if all_ok else 1
 
 
@@ -192,7 +244,7 @@ def cmd_gf(args: argparse.Namespace) -> int:
             "matches_recurrence": matches,
         }
         text = json.dumps(payload) + "\n"
-    _emit(text, args.output)
+    _emit((text,), args.output)
     return 0 if matches else 1
 
 
@@ -249,7 +301,7 @@ def cmd_sum(args: argparse.Namespace) -> int:
         flat = {"mode": flat.pop("mode"), "a": a, "b": b, "c": c, **flat}
         render = lambda value: "" if value is None else str(value).lower() if isinstance(value, bool) else str(value)
         text = ",".join(flat) + "\n" + ",".join(render(v) for v in flat.values()) + "\n"
-    _emit(text, args.output)
+    _emit((text,), args.output)
     if payload["agree"] is False:
         return 1
     return 0

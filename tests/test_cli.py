@@ -1,13 +1,24 @@
 """CLI surface: formats, exit codes, round trips, determinism."""
 
+import contextlib
+import decimal
+import io
 import json
+import os
 import re
+import subprocess
 import sys
+import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from jacobsthal3.cli import main
-from jacobsthal3.sequences import JACOBSTHAL, term, term_range
+from jacobsthal3.sequences import JACOBSTHAL, SequenceParams, term, term_range
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -67,10 +78,20 @@ def test_gen_malformed_rational_exits_2(capsys):
     assert code == 2
 
 
-def test_gen_bfile_rejects_fractions(capsys):
-    code, _, err = run(capsys, "gen", "--a", "1/2", "--to", "3", "--format", "bfile")
-    assert code == 2
-    assert "b-file" in err
+def test_gen_bfile_rejects_fractions(capsys, tmp_path):
+    message = (
+        "error: b-file output requires integer values, got 1/2 at n=0; "
+        "use csv or json for fractional seeds\n"
+    )
+    code, out, err = run(capsys, "gen", "--a", "1/2", "--to", "3", "--format", "bfile")
+    assert (code, out, err) == (2, "", message)
+    # The check runs before the output file is opened: none is created, and
+    # an unwritable path is still a usage error, not an I/O error.
+    for path in (tmp_path / "b.txt", Path("/nonexistent/x")):
+        code, out, err = run(capsys, "gen", "--a", "1/2", "--to", "3", "--format", "bfile",
+                             "--output", str(path))
+        assert (code, out, err) == (2, "", message)
+        assert not path.exists()
 
 
 def test_gen_bfile_round_trip(capsys, tmp_path):
@@ -238,6 +259,102 @@ def test_unwritable_output_exits_3(capsys):
     assert out == ""
     assert err.startswith("error: cannot write /nonexistent/x.csv: ")
     assert "Traceback" not in err
+
+
+def _gen_as_formatted_from_the_oracle(seeds, first, last, fmt):
+    """The (exit code, stdout, stderr) gen must produce, formatted from the oracle's values."""
+    rows = list(zip(range(first, last + 1), term_range(SequenceParams(*seeds), first, last)))
+    if fmt == "bfile":
+        for n, value in rows:
+            if value.denominator != 1:
+                return 2, "", (
+                    f"error: b-file output requires integer values, got {value} at n={n}; "
+                    "use csv or json for fractional seeds\n"
+                )
+        return 0, "".join(f"{n} {value}\n" for n, value in rows), ""
+    if fmt == "csv":
+        return 0, "\n".join(["n,value"] + [f"{n},{value}" for n, value in rows]) + "\n", ""
+    return 0, json.dumps([{"n": n, "value": str(value)} for n, value in rows]) + "\n", ""
+
+
+_SEED = st.builds(Fraction, st.integers(-20, 20), st.integers(-20, 20).filter(bool))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seeds=st.tuples(_SEED, _SEED, _SEED),
+    first=st.integers(0, 40),
+    count=st.integers(1, 200),
+    fmt=st.sampled_from(["csv", "json", "bfile"]),
+)
+@example(seeds=(0, 0, 0), first=0, count=30, fmt="bfile")
+@example(seeds=(1, 1, -2), first=0, count=30, fmt="csv")
+@example(seeds=(Fraction(-1, 3), Fraction(2, 3), Fraction(-1, 3)), first=0, count=30, fmt="json")
+@example(seeds=(Fraction(-1, 3), Fraction(2, 3), Fraction(-1, 3)), first=2, count=30, fmt="bfile")
+@example(seeds=(Fraction(1, 2), 0, 0), first=0, count=30, fmt="bfile")
+@example(seeds=(Fraction(1, 2), 0, 0), first=1, count=30, fmt="bfile")
+@example(seeds=(0, 0, Fraction(1, 2)), first=0, count=30, fmt="bfile")
+@example(seeds=(0, 1, 1), first=15000, count=1, fmt="csv")
+def test_gen_matches_the_oracle_byte_for_byte(seeds, first, count, fmt):
+    last = first + count - 1
+    argv = ["gen", *(f"--{name}={seed}" for name, seed in zip("abc", seeds)),
+            "--from", str(first), "--to", str(last), "--format", fmt]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = _gen_as_formatted_from_the_oracle(seeds, first, last, fmt)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out.getvalue(), err.getvalue()) == expected
+
+
+def test_gen_memory_does_not_grow_with_the_range(tmp_path):
+    path = tmp_path / "b.txt"
+    tracemalloc.start()
+    try:
+        code = main(["gen", "--a=3", "--b=-7", "--c=11", "--to", "10000", "--format", "bfile",
+                     "--output", str(path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert path.read_text().splitlines()[-1] == f"10000 {term(SequenceParams(3, -7, 11), 10000)}"
+    assert peak < 2_000_000
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("gen", "--a=1/3", "--to", "500", "--format", "json"), 0),
+        (("gen", "--a=1/2", "--to", "500", "--format", "bfile"), 2),
+        (("gen", "--to", "2000", "--output", "/dev/full"), 3),
+    ],
+    ids=["returns", "usage-error", "write-error"],
+)
+def test_gen_leaves_the_decimal_context_alone(capsys, argv, code):
+    if "/dev/full" in argv and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this platform")
+    context = decimal.getcontext()
+    prec = context.prec
+    assert run(capsys, *argv)[0] == code
+    assert decimal.getcontext() is context
+    assert context.prec == prec
+
+
+def test_gen_exits_cleanly_when_the_reader_closes_the_pipe():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    for _ in range(3):
+        proc = subprocess.Popen([sys.executable, "-m", "jacobsthal3", "gen", "--to", "20000"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline() == b"n,value\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        assert b"Traceback" not in err and b"BrokenPipeError" not in err
 
 
 @pytest.mark.parametrize(
