@@ -8,8 +8,9 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error
 (the --output file cannot be written).  Output is deterministic: identical
 invocations produce byte-identical results.
 
-gen streams: it writes each line as soon as the term is computed, keeping
-three terms in memory whatever the range.  Its usage errors are all raised
+gen streams: it takes the first three terms of the range from the oracle
+and writes each line as soon as the next term is computed, keeping three
+terms in memory however many it writes.  Its usage errors are all raised
 before anything is written, but a write error partway through still exits 3
 and may leave a partial --output file.
 """
@@ -144,18 +145,21 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Ro
 def _term_texts(params: SequenceParams, first: int, last: int) -> Iterator[str]:
     """str(X(n)) for first <= n <= last, rendered as str(Fraction) renders it.
 
-    Runs the recurrence on Decimal integers, the seeds scaled by the lcm D
-    of their denominators, and keeps three terms.  Uses the methods of an
-    exact context rather than localcontext, so the caller's decimal context
-    stays in force while the generator is suspended.
+    Takes X(first..first+2) from the oracle and runs the recurrence on from
+    there on Decimal integers, the terms scaled by the lcm D of those three
+    denominators (integer coefficients keep every later term a multiple of
+    1/D), keeping three terms.  Uses the methods of an exact context rather
+    than localcontext, so the caller's decimal context stays in force while
+    the generator is suspended.
 
     >>> list(_term_texts(SequenceParams(Fraction(1, 2), 0, 0), 0, 6))
     ['1/2', '0', '0', '1', '1', '2', '5']
     """
     add, multiply = _EXACT.add, _EXACT.multiply
-    scale = lcm(params.a.denominator, params.b.denominator, params.c.denominator)
+    window = term_range(params, first, first + 2)
+    scale = lcm(*(value.denominator for value in window))
     divisor, two = Decimal(scale), Decimal(2)
-    x0, x1, x2 = (Decimal(int(seed * scale)) for seed in (params.a, params.b, params.c))
+    x0, x1, x2 = (Decimal(int(value * scale)) for value in window)
 
     def text(y: Decimal) -> str:
         if scale == 1:
@@ -164,20 +168,16 @@ def _term_texts(params: SequenceParams, first: int, last: int) -> Iterator[str]:
         numerator = str(_EXACT.divide_int(y, Decimal(g)))
         return numerator if g == scale else f"{numerator}/{scale // g}"
 
-    for n in range(last + 1):
-        if n >= first:
-            yield text(x0)
+    for _ in range(last - first + 1):
+        yield text(x0)
         x0, x1, x2 = x1, x2, add(add(x2, x1), multiply(two, x0))
 
 
 def _json_rows(rows: Iterable[tuple[int, str]]) -> Iterator[str]:
-    """json.dumps([{"n": n, "value": text}, ...]) + "\n", one row at a time.
-
-    The texts hold only digits, "-" and "/", which JSON does not escape.
-    """
+    """json.dumps([{"n": n, "value": text}, ...]) + "\n", one row at a time."""
     separator = "["
     for n, text in rows:
-        yield f'{separator}{{"n": {n}, "value": "{text}"}}'
+        yield separator + json.dumps({"n": n, "value": text})
         separator = ", "
     yield "]\n"
 
