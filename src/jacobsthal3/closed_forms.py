@@ -7,9 +7,12 @@ Both must reproduce the iterative oracle exactly, term by term:
 * the decomposition  X(n) = (rho*2**n - V(n)) / 7  with V the period-3
   remainder triple.
 
-The Binet evaluation runs entirely in Q(w) and asserts that the w-part
-cancels; a nonzero residue raises instead of being rounded away.  That
-check is the package's core soundness guarantee.
+The Binet evaluation runs entirely in Q(w) and asserts, on every call,
+that the w-part cancels; a nonzero residue raises instead of being rounded
+away.  That check is the package's core soundness guarantee.  Since
+w1**3 == w2**3 == 1, the powers w1**n and w2**n are read from a table by
+n mod 3 rather than computed, so an evaluation costs two Q(w) products
+whatever n is.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .eisenstein import OMEGA1, OMEGA2, Eisenstein
+from .eisenstein import OMEGA1, OMEGA2, OMEGA_POWERS, Eisenstein
 from .sequences import SequenceParams, companions
 
 _TWO = Eisenstein(2)
@@ -66,7 +69,8 @@ def binet_term(params: SequenceParams, n: int) -> Fraction:
     if n < 0:
         raise ValueError(f"term index must be nonnegative, got {n}")
     coeffs = binet_coefficients(params)
-    value = coeffs.A * (1 << n) - coeffs.B * OMEGA1**n + coeffs.C * OMEGA2**n
+    w1_n, w2_n = OMEGA_POWERS[n % 3]
+    value = coeffs.A * (1 << n) - coeffs.B * w1_n + coeffs.C * w2_n
     return value.rational_part()
 
 

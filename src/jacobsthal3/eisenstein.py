@@ -75,8 +75,11 @@ class Eisenstein:
     om: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "re", _as_fraction(self.re))
-        object.__setattr__(self, "om", _as_fraction(self.om))
+        # arithmetic results already hold Fractions; convert anything else
+        if not isinstance(self.re, Fraction):
+            object.__setattr__(self, "re", _as_fraction(self.re))
+        if not isinstance(self.om, Fraction):
+            object.__setattr__(self, "om", _as_fraction(self.om))
 
     def __str__(self) -> str:
         if self.om == 0:
@@ -171,7 +174,7 @@ def _coerce(value: "Eisenstein | RationalLike") -> "Eisenstein | None":
     if isinstance(value, Eisenstein):
         return value
     if isinstance(value, (int, Fraction)):
-        return Eisenstein(Fraction(value), Fraction(0))
+        return Eisenstein(value)
     return None
 
 
@@ -181,3 +184,6 @@ ONE = Eisenstein(1)
 OMEGA1 = Eisenstein(0, 1)
 #: Its complex conjugate (-1 - i*sqrt(3)) / 2, equal to OMEGA1**2.
 OMEGA2 = OMEGA1.conj()
+#: (OMEGA1**k, OMEGA2**k) for k = 0, 1, 2.  Since w**3 == 1, the powers of
+#: either root repeat with period 3: w**n is entry n % 3.
+OMEGA_POWERS = tuple((OMEGA1**k, OMEGA2**k) for k in range(3))

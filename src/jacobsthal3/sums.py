@@ -19,7 +19,12 @@ The strided closed form divides by sigma(m) = 2**(m+1) +
 (1 - 2**m)*(w1**m + w2**m) - 2, which vanishes exactly when 3 divides m
 (the trace w1**m + w2**m is 2 for 3 | m and -1 otherwise).  For such m no
 closed form is provided and DegenerateStrideError directs callers to the
-oracle.
+oracle.  The trace is read from the table of root powers by m mod 3 and
+is still taken through Eisenstein.rational_part(), so a w-part that failed
+to cancel would raise on every call.
+
+sum_oracle reads the oracle's prefix once, up to its largest index, and
+sums from it; its values never come from a closed form.
 """
 
 from __future__ import annotations
@@ -28,8 +33,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .eisenstein import OMEGA1, OMEGA2, RationalLike, _as_fraction
-from .sequences import JACOBSTHAL, SequenceParams, term
+from .eisenstein import OMEGA_POWERS, RationalLike, _as_fraction
+from .sequences import JACOBSTHAL, SequenceParams, _check_index, term, term_range
 
 
 class DegenerateStrideError(ValueError):
@@ -63,13 +68,18 @@ def sum_oracle(
             raise ValueError(
                 f"got {len(weight_list)} weights for {len(index_list)} indices"
             )
-    total = Fraction(0)
-    for i, idx in enumerate(index_list):
+    # check every index before reading any value: prefix[True] would
+    # silently be X(1)
+    for idx in index_list:
         if idx < 0:
             raise ValueError(f"negative index {idx} in sum")
-        value = term(params, idx)
-        total += weight_list[i] * value if weights is not None else value
-    return total
+        _check_index("term index n", idx)
+    if not index_list:
+        return Fraction(0)
+    prefix = term_range(params, 0, max(index_list))
+    if weights is None:
+        return sum((prefix[idx] for idx in index_list), Fraction(0))
+    return sum((w * prefix[idx] for w, idx in zip(weight_list, index_list)), Fraction(0))
 
 
 def prefix_sum_closed(n: int) -> Fraction:
@@ -151,8 +161,9 @@ class StridedSumContext:
             raise ValueError(
                 f"offset r must be at least the stride (r >= m keeps index r - m nonnegative), got r={r}, m={m}"
             )
-        trace = (OMEGA1**m + OMEGA2**m).rational_part()
-        two_m = Fraction(2) ** m
+        w1_m, w2_m = OMEGA_POWERS[m % 3]
+        trace = (w1_m + w2_m).rational_part()
+        two_m = 1 << m
         mu = two_m + trace
         sigma = 2 * two_m + (1 - two_m) * trace - 2
         return cls(m=m, r=r, trace=trace, mu=mu, sigma=sigma)
@@ -172,7 +183,7 @@ def strided_sum_closed(params: SequenceParams, m: int, r: int, n: int) -> Fracti
         raise DegenerateStrideError(
             "sigma=0 for m divisible by 3; the closed form degenerates, use sum_oracle"
         )
-    two_m = Fraction(2) ** m
+    two_m = 1 << m
     head = term(params, m * (n + 1) + r) - term(params, r)
     brace = (
         head

@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jacobsthal3 import closed_forms
 from jacobsthal3.closed_forms import binet_coefficients, binet_term, decomposed_term
-from jacobsthal3.eisenstein import Eisenstein, OMEGA1, OMEGA2
+from jacobsthal3.eisenstein import Eisenstein, NonRealResidueError, OMEGA1, OMEGA2
 from jacobsthal3.sequences import (
     JACOBSTHAL,
     JACOBSTHAL_LUCAS,
@@ -80,6 +81,51 @@ def test_three_evaluators_agree_on_presets_to_128():
         for n, expected in enumerate(stream):
             assert binet_term(params, n) == expected
             assert decomposed_term(params, n) == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed_triples, st.integers(min_value=0, max_value=598))
+def test_binet_term_matches_the_oracle_in_every_residue_class(params, start):
+    # n, n+1 and n+2 cover the three residues mod 3 that select w**n
+    for n in range(start, start + 3):
+        assert binet_term(params, n) == term(params, n)
+
+
+@pytest.mark.parametrize("n", [300, 301, 302])
+def test_binet_term_checks_the_cancellation_on_every_call(monkeypatch, n):
+    # With B off by delta = s + t*w, the value moves by -delta*w**n, whose
+    # w-part is t, s - t and -s for n = 0, 1, 2 (mod 3); s = 1, t = 2
+    # leaves a residue in every class.  (A pure t*w would turn rational
+    # at n = 2 mod 3 and only make the value wrong.)
+    params = SequenceParams(Fraction(1, 2), -3, Fraction(7, 5))
+    good = binet_coefficients(params)
+    bad = closed_forms.BinetCoefficients(good.A, good.B + Eisenstein(1, 2), good.C)
+    monkeypatch.setattr(closed_forms, "binet_coefficients", lambda p: bad)
+    with pytest.raises(NonRealResidueError):
+        binet_term(params, n)
+
+
+def _count_products(monkeypatch):
+    calls = [0]
+    for name in ("__mul__", "__rmul__"):
+        original = vars(Eisenstein)[name]
+
+        def counted(self, other, original=original):
+            calls[0] += 1
+            return original(self, other)
+
+        monkeypatch.setattr(Eisenstein, name, counted)
+    return calls
+
+
+def test_binet_term_cost_in_products_does_not_grow_with_n(monkeypatch):
+    params = SequenceParams(Fraction(1, 2), -3, Fraction(7, 5))
+    binet_coefficients(params)  # solve for the coefficients outside the count
+    calls = _count_products(monkeypatch)
+    binet_term(params, 10)
+    small = calls[0]
+    binet_term(params, 100_000)
+    assert calls[0] - small == small > 0
 
 
 def test_lucas_decomposition():

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from jacobsthal3.eisenstein import (
     OMEGA1,
     OMEGA2,
+    OMEGA_POWERS,
     ONE,
     Eisenstein,
     NonRealResidueError,
@@ -32,6 +33,19 @@ def test_rational_zero_denominator_rejected():
 def test_rational_rejects_floats():
     with pytest.raises(TypeError):
         rational(0.5)
+
+
+@pytest.mark.parametrize("coordinates", [(0.5,), (1, 0.5), (0.5, Fraction(1))])
+def test_eisenstein_rejects_floats(coordinates):
+    with pytest.raises(TypeError, match="exact arithmetic only"):
+        Eisenstein(*coordinates)
+
+
+def test_coordinates_become_fractions():
+    u = Eisenstein(3, "-1/2")
+    assert type(u.re) is Fraction and type(u.om) is Fraction
+    assert (u.re, u.om) == (3, Fraction(-1, 2))
+    assert type((Fraction(1, 3) + OMEGA1).re) is Fraction
 
 
 def test_omega_constants():
@@ -112,6 +126,7 @@ def test_norm_is_rational_and_nonnegative(u):
 @given(st.integers(min_value=0, max_value=500))
 def test_omega_powers_have_period_three(k):
     assert OMEGA1**k == OMEGA1 ** (k % 3)
+    assert OMEGA_POWERS[k % 3] == (OMEGA1**k, OMEGA2**k)
 
 
 @given(elements, elements)

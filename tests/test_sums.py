@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jacobsthal3 import sums
+from jacobsthal3.eisenstein import OMEGA1, OMEGA2, Eisenstein
 from jacobsthal3.sequences import JACOBSTHAL, SequenceParams, term
 from jacobsthal3.sums import (
     DegenerateStrideError,
@@ -30,14 +32,38 @@ PRESETS = [
 def test_sum_oracle_examples():
     assert sum_oracle(JACOBSTHAL, [0, 1, 2, 3]) == 4
     assert sum_oracle(JACOBSTHAL, [2, 4], weights=[1, 1]) == 6
+    assert sum_oracle(JACOBSTHAL, [5, 0, 5], weights=[2, 7, Fraction(-1, 3)]) == 2 * 9 - 9 / Fraction(3)
     assert sum_oracle(SequenceParams(9, 9, 9), []) == 0
+    assert sum_oracle(JACOBSTHAL, [], weights=[]) == 0
+    assert type(sum_oracle(JACOBSTHAL, [])) is Fraction
 
 
 def test_sum_oracle_validation():
     with pytest.raises(ValueError):
         sum_oracle(JACOBSTHAL, [0, -1])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^got 1 weights for 2 indices$"):
         sum_oracle(JACOBSTHAL, [0, 1], weights=[1])
+    with pytest.raises(ValueError, match=r"^got 2 weights for 0 indices$"):
+        sum_oracle(JACOBSTHAL, [], weights=[1, 2])
+
+
+@pytest.mark.parametrize(
+    "index, error, message",
+    [
+        (True, TypeError, r"^term index n must be an int, got bool$"),
+        (1.0, TypeError, r"^term index n must be an int, got float$"),
+        ("1", TypeError, r"not supported between instances of 'str' and 'int'"),
+        (-1, ValueError, r"^negative index -1 in sum$"),
+    ],
+)
+def test_sum_oracle_checks_every_index_before_reading(monkeypatch, index, error, message):
+    def unread(*args):
+        raise AssertionError("the oracle was read before the indices were checked")
+
+    monkeypatch.setattr(sums, "term_range", unread)
+    monkeypatch.setattr(sums, "term", unread)
+    with pytest.raises(error, match=message):
+        sum_oracle(SequenceParams(3, 1, 4), [0, 50, index, 2])
 
 
 def test_prefix_sum_examples():
@@ -119,13 +145,26 @@ def test_strided_context_constants():
         assert ctx.sigma == 0
 
 
-@given(st.integers(min_value=1, max_value=40))
-def test_strided_constants_are_integers(m):
-    ctx = StridedSumContext.of(m, m)
-    assert ctx.trace in (2, -1)
-    assert ctx.mu.denominator == 1
-    assert ctx.sigma.denominator == 1
-    assert (ctx.sigma == 0) == (m % 3 == 0)
+def test_strided_constants_are_integers():
+    # the generic powers in Q(w) are the yardstick for the table lookup
+    for m in range(1, 61):
+        ctx = StridedSumContext.of(m, m)
+        trace = (OMEGA1**m + OMEGA2**m).rational_part()
+        assert ctx.trace == trace in (2, -1)
+        assert ctx.mu == 2**m + trace
+        assert ctx.sigma == 2 ** (m + 1) + (1 - 2**m) * trace - 2
+        for value in (ctx.trace, ctx.mu, ctx.sigma):
+            assert type(value) is Fraction and value.denominator == 1
+        assert (ctx.sigma == 0) == (m % 3 == 0)
+
+
+def test_strided_constants_use_no_powers_in_q_w(monkeypatch):
+    def refused(self, exponent):
+        raise AssertionError("StridedSumContext.of powered an Eisenstein value")
+
+    monkeypatch.setattr(Eisenstein, "__pow__", refused)
+    for m in range(1, 13):
+        StridedSumContext.of(m, m + 5)
 
 
 def test_strided_context_validation():
