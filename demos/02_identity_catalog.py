@@ -38,5 +38,5 @@ print("One instance in detail: Catalan for seeds (1, 2, 3) at n=3, r=1")
 result = check(IdentityId.CATALAN_GEN, SequenceParams(1, 2, 3), 3, 1)
 print(f"  lhs  X(3)^2 - X(2)*X(4)        = {result.lhs}")
 print(f"  rhs  closed form               = {result.rhs}")
-for key, value in result.witness.items():
-    print(f"       {key:<10} = {value}")
+print(f"       rho        = {result.params.rho}")
+print(f"       quartic    = {result.params.quartic}")

@@ -10,14 +10,7 @@ coefficient.  All arithmetic is exact; no floating point anywhere.
 """
 
 from .closed_forms import BinetCoefficients, binet_coefficients, binet_term, decomposed_term
-from .eisenstein import (
-    OMEGA1,
-    OMEGA2,
-    Eisenstein,
-    NonRealResidueError,
-    Rational,
-    rational,
-)
+from .eisenstein import OMEGA1, OMEGA2, Eisenstein, NonRealResidueError
 from .identities import (
     CheckResult,
     IdentityId,
@@ -69,7 +62,6 @@ __all__ = [
     "OMEGA2",
     "PeriodicTriple",
     "RECURRENCE_DENOMINATOR",
-    "Rational",
     "Report",
     "SequenceParams",
     "StridedSumContext",
@@ -87,7 +79,6 @@ __all__ = [
     "gf_coefficients",
     "gf_numerator",
     "prefix_sum_closed",
-    "rational",
     "series_div",
     "strided_sum_closed",
     "sum_oracle",

@@ -2,8 +2,7 @@
 
 Everything in this package is computed over two exact domains:
 
-* plain rationals, represented by :class:`fractions.Fraction` (re-exported
-  here as ``Rational``), and
+* plain rationals, represented by :class:`fractions.Fraction`, and
 * the quadratic field Q(w), where w is a primitive cube root of unity
   satisfying w**2 == -1 - w (equivalently w**3 == 1, w != 1).
 
@@ -27,8 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-Rational = Fraction
-
 RationalLike = Union[int, str, Fraction]
 
 
@@ -46,21 +43,6 @@ def _as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, float):
         raise TypeError("exact arithmetic only: pass int, str or Fraction, not float")
     return Fraction(value)
-
-
-def rational(numerator: RationalLike, denominator: RationalLike = 1) -> Fraction:
-    """Return numerator/denominator in lowest terms with positive denominator.
-
-    Accepts integers, ``Fraction`` values, or strings like ``"-3/7"``.
-    A zero denominator raises :class:`ZeroDivisionError`; the zero value
-    normalizes to 0/1.
-
-    >>> rational(6, -4)
-    Fraction(-3, 2)
-    """
-    num = _as_fraction(numerator)
-    den = _as_fraction(denominator)
-    return num / den
 
 
 @dataclass(frozen=True)

@@ -41,10 +41,10 @@ their r rule.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Mapping, Optional
+from typing import Callable, Iterator, Optional
 
 from .sequences import (
     JACOBSTHAL,
@@ -150,8 +150,8 @@ def _gelin_j_rhs(n: int) -> Fraction:
     return (square * (2 + k * p_lin) - (1 + k * p_lin + s * p_sq) / 7) / 7
 
 
-# Per-identity evaluators returning (lhs, rhs, witness).  LHS terms come from
-# the oracle; RHS from the closed form under test.
+# Per-identity evaluators returning (lhs, rhs).  LHS terms come from the
+# oracle; RHS from the closed form under test.
 
 _EC5_TABLE = (Fraction(1), Fraction(-2), Fraction(1))
 _E8_TABLE = (Fraction(1), Fraction(-1), Fraction(0))
@@ -159,83 +159,64 @@ _E8_TABLE = (Fraction(1), Fraction(-1), Fraction(0))
 
 def _eval_e4(params, n, r):
     lhs = 3 * term(JACOBSTHAL, n) + term(JACOBSTHAL_LUCAS, n)
-    return lhs, Fraction(2) ** (n + 1), {}
+    return lhs, Fraction(2) ** (n + 1)
 
 
 def _eval_e5(params, n, r):
     lhs = term(JACOBSTHAL_LUCAS, n) - 3 * term(JACOBSTHAL, n)
-    return lhs, 2 * term(JACOBSTHAL_LUCAS, n - 3), {}
+    return lhs, 2 * term(JACOBSTHAL_LUCAS, n - 3)
 
 
 def _eval_ec5(params, n, r):
     lhs = term(JACOBSTHAL, n + 2) - 4 * term(JACOBSTHAL, n)
-    return lhs, _EC5_TABLE[n % 3], {}
+    return lhs, _EC5_TABLE[n % 3]
 
 
 def _eval_e6(params, n, r):
     lhs = term(JACOBSTHAL_LUCAS, n) - 4 * term(JACOBSTHAL, n)
-    return lhs, V_ORDINARY.at(n), {"V(n)": V_ORDINARY.at(n)}
+    return lhs, V_ORDINARY.at(n)
 
 
 def _eval_e7(params, n, r):
     lhs = term(JACOBSTHAL_LUCAS, n + 1) + term(JACOBSTHAL_LUCAS, n)
-    return lhs, 3 * term(JACOBSTHAL, n + 2), {}
+    return lhs, 3 * term(JACOBSTHAL, n + 2)
 
 
 def _eval_e8(params, n, r):
     lhs = term(JACOBSTHAL_LUCAS, n) - term(JACOBSTHAL, n + 2)
-    return lhs, _E8_TABLE[n % 3], {}
+    return lhs, _E8_TABLE[n % 3]
 
 
 def _eval_e9(params, n, r):
     lhs = term(JACOBSTHAL_LUCAS, n - 3) ** 2 + 3 * term(JACOBSTHAL, n) * term(
         JACOBSTHAL_LUCAS, n
     )
-    return lhs, Fraction(4) ** n, {}
+    return lhs, Fraction(4) ** n
 
 
 def _eval_e10(params, n, r):
-    return sum(term_range(JACOBSTHAL, 0, n)), prefix_sum_closed(n), {}
+    return sum(term_range(JACOBSTHAL, 0, n)), prefix_sum_closed(n)
 
 
 def _eval_e12(params, n, r):
     lhs = term(JACOBSTHAL_LUCAS, n) ** 2 - 9 * term(JACOBSTHAL, n) ** 2
-    return lhs, Fraction(2) ** (n + 2) * term(JACOBSTHAL_LUCAS, n - 3), {}
+    return lhs, Fraction(2) ** (n + 2) * term(JACOBSTHAL_LUCAS, n - 3)
 
 
 def _eval_catalan_j(params, n, r):
     lhs = term(JACOBSTHAL, n) ** 2 - term(JACOBSTHAL, n - r) * term(JACOBSTHAL, n + r)
-    witness = {
-        "V(n-r)": V_ORDINARY.at(n - r),
-        "V(n)": V_ORDINARY.at(n),
-        "V(n+r)": V_ORDINARY.at(n + r),
-        "U(r)": u_value(r),
-    }
-    return lhs, _catalan_j_rhs(n, r), witness
+    return lhs, _catalan_j_rhs(n, r)
 
 
 def _eval_gelin_j(params, n, r):
     j = lambda k: term(JACOBSTHAL, k)
     lhs = j(n) ** 4 - j(n - 2) * j(n - 1) * j(n + 1) * j(n + 2)
-    witness = {
-        "bracket": _GELIN_J_BRACKET[n % 3],
-        "square_coeff": _GELIN_J_SQUARE_COEFF[n % 3],
-    }
-    return lhs, _gelin_j_rhs(n), witness
+    return lhs, _gelin_j_rhs(n)
 
 
 def _eval_catalan_gen(params, n, r):
     lhs = term(params, n) ** 2 - term(params, n - r) * term(params, n + r)
-    v = companions(params).v_gen
-    witness = {
-        "rho": params.rho,
-        "quartic": params.quartic,
-        "V(n-r)": v.at(n - r),
-        "V(n)": v.at(n),
-        "V(n+r)": v.at(n + r),
-        "U(r)": u_value(r),
-    }
-    return lhs, _catalan_form(params, v, n, r), witness
+    return lhs, _catalan_form(params, companions(params).v_gen, n, r)
 
 
 def _gelin_lhs(params, n):
@@ -244,26 +225,14 @@ def _gelin_lhs(params, n):
 
 
 def _eval_gelin_gen(params, n, r):
-    w = companions(params).w_gen
-    witness = {
-        "rho": params.rho,
-        "quartic": params.quartic,
-        "W(n+1)": w.at(n + 1),
-        "W(n+2)": w.at(n + 2),
-    }
-    return _gelin_lhs(params, n), _gelin_general_form(params, w, n), witness
+    rhs = _gelin_general_form(params, companions(params).w_gen, n)
+    return _gelin_lhs(params, n), rhs
 
 
 def _eval_gelin_cases(params, n, r):
     bracket = _gelin_case_bracket(params, n)
-    product = companions(params).t.at(n)
-    witness = {
-        "rho": params.rho,
-        "quartic": params.quartic,
-        "case_constant": bracket,
-        "T(n)": product,
-    }
-    return _gelin_lhs(params, n), _gelin_form(params, n, bracket, product), witness
+    rhs = _gelin_form(params, n, bracket, companions(params).t.at(n))
+    return _gelin_lhs(params, n), rhs
 
 
 _Evaluator = Callable[[SequenceParams, int, Optional[int]], tuple]
@@ -333,7 +302,6 @@ class CheckResult:
     r: Optional[int]
     lhs: Fraction
     rhs: Fraction
-    witness: Mapping[str, Fraction] = field(default_factory=dict)
 
     @property
     def equal(self) -> bool:
@@ -354,20 +322,6 @@ class Report:
     passed: int
     failed: int
     failures: tuple[CheckResult, ...]
-
-    @classmethod
-    def from_results(
-        cls, identity: IdentityId, params: SequenceParams, results: list[CheckResult]
-    ) -> "Report":
-        failing = [res for res in results if not res.equal]
-        return cls(
-            identity=identity,
-            params=params,
-            total=len(results),
-            passed=len(results) - len(failing),
-            failed=len(failing),
-            failures=tuple(failing[:MAX_FAILURE_WITNESSES]),
-        )
 
     @property
     def ok(self) -> bool:
@@ -420,10 +374,22 @@ def check(
     elif r is not None:
         raise ValueError(f"{identity.value} does not take r")
     effective = JACOBSTHAL if identity.fixed_seeds else params
-    lhs, rhs, witness = identity._evaluate(effective, n, r)
-    return CheckResult(
-        identity=identity, params=effective, n=n, r=r, lhs=lhs, rhs=rhs, witness=witness
-    )
+    lhs, rhs = identity._evaluate(effective, n, r)
+    return CheckResult(identity=identity, params=effective, n=n, r=r, lhs=lhs, rhs=rhs)
+
+
+def _instances(
+    identity: IdentityId, n_max: int, r_max: Optional[int]
+) -> Iterator[tuple[int, Optional[int]]]:
+    """The legal (n, r) of identity up to the bounds, in (n, r) order."""
+    rule = identity._r_rule
+    for n in range(identity.min_n, n_max + 1):
+        if rule is _RRule.GRID:
+            top = n if r_max is None else min(n, r_max)
+            for r in range(top + 1):
+                yield n, r
+        else:
+            yield n, 1 if rule is _RRule.ONE else None
 
 
 def verify_range(
@@ -432,12 +398,16 @@ def verify_range(
     n_max: int = 50,
     r_max: Optional[int] = None,
 ) -> Report:
-    """Run check over the full legal (n, r) grid up to the bounds.
+    """Check every legal (n, r) instance up to the bounds.
 
     For Catalan entries the grid is triangular (0 <= r <= n), optionally
-    clipped at r_max.  Results are ordered by (n, r), so reports are
-    deterministic.  Bounds that leave the grid empty raise ValueError: an
-    empty sweep checks nothing, so it must not pass.
+    clipped at r_max.  Instances run in (n, r) order, so reports are
+    deterministic; only the first MAX_FAILURE_WITNESSES failures are kept.
+    Bounds that leave the grid empty raise ValueError: an empty sweep
+    checks nothing, so it must not pass.
+
+    >>> verify_range(IdentityId.CATALAN_J, n_max=3).total
+    10
     """
     if n_max < identity.min_n:
         raise ValueError(
@@ -445,13 +415,14 @@ def verify_range(
         )
     if identity.uses_r and r_max is not None and r_max < 0:
         raise ValueError(f"r_max for {identity.value} must be nonnegative, got {r_max}")
-    results: list[CheckResult] = []
-    for n in range(identity.min_n, n_max + 1):
-        if identity.uses_r:
-            top = n if r_max is None else min(n, r_max)
-            for r in range(top + 1):
-                results.append(check(identity, params, n, r))
-        else:
-            results.append(check(identity, params, n))
     effective = JACOBSTHAL if identity.fixed_seeds else params
-    return Report.from_results(identity, effective, results)
+    total = failed = 0
+    failures: list[CheckResult] = []
+    for n, r in _instances(identity, n_max, r_max):
+        lhs, rhs = identity._evaluate(effective, n, r)
+        total += 1
+        if lhs != rhs:
+            failed += 1
+            if failed <= MAX_FAILURE_WITNESSES:
+                failures.append(CheckResult(identity, effective, n, r, lhs, rhs))
+    return Report(identity, effective, total, total - failed, failed, tuple(failures))

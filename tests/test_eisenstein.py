@@ -10,29 +10,10 @@ from jacobsthal3.eisenstein import (
     ONE,
     Eisenstein,
     NonRealResidueError,
-    rational,
 )
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=20)
 elements = st.builds(Eisenstein, rationals, rationals)
-
-
-def test_rational_normalizes_to_lowest_terms():
-    assert rational(6, -4) == Fraction(-3, 2)
-    assert rational(6, -4).denominator == 2
-    assert rational(0, 7) == Fraction(0, 1)
-    assert rational(49, 7) == Fraction(7, 1)
-    assert rational("3/2") == Fraction(3, 2)
-
-
-def test_rational_zero_denominator_rejected():
-    with pytest.raises(ZeroDivisionError):
-        rational(1, 0)
-
-
-def test_rational_rejects_floats():
-    with pytest.raises(TypeError):
-        rational(0.5)
 
 
 @pytest.mark.parametrize("coordinates", [(0.5,), (1, 0.5), (0.5, Fraction(1))])

@@ -6,11 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jacobsthal3 import identities
 from jacobsthal3.identities import (
-    CheckResult,
     IdentityId,
     MAX_FAILURE_WITNESSES,
-    Report,
     catalan_rhs,
     check,
     gelin_cesaro_rhs,
@@ -213,48 +212,71 @@ def test_report_json_shape():
     }
 
 
-def test_report_caps_failure_witnesses():
-    fake = [
-        CheckResult(
-            identity=IdentityId.E4,
-            params=JACOBSTHAL,
-            n=n,
-            r=None,
-            lhs=Fraction(0),
-            rhs=Fraction(1),
-        )
-        for n in range(40)
-    ]
-    report = Report.from_results(IdentityId.E4, JACOBSTHAL, fake)
+def test_report_caps_failure_witnesses(monkeypatch):
+    monkeypatch.setattr(IdentityId.E4, "_evaluate", lambda params, n, r: (Fraction(0), Fraction(1)))
+    report = verify_range(IdentityId.E4, n_max=39)
+    assert report.total == 40
     assert report.failed == 40
     assert len(report.failures) == MAX_FAILURE_WITNESSES
+    assert [res.n for res in report.failures] == list(range(MAX_FAILURE_WITNESSES))
     payload = report.to_json_dict()
     assert payload["failed"] == 40
     assert len(payload["failures"]) == MAX_FAILURE_WITNESSES
     assert payload["failures"][0] == {"n": 0, "r": None, "lhs": "0", "rhs": "1"}
 
 
-def test_report_renders_fractions_without_unit_denominator():
-    result = CheckResult(
-        identity=IdentityId.CATALAN_GEN,
-        params=SequenceParams(Fraction(1, 2), -3, Fraction(7, 5)),
-        n=3,
-        r=1,
-        lhs=Fraction(3, 2),
-        rhs=Fraction(4),
+def test_report_renders_fractions_without_unit_denominator(monkeypatch):
+    monkeypatch.setattr(
+        IdentityId.CATALAN_GEN, "_evaluate", lambda params, n, r: (Fraction(3, 2), Fraction(4))
     )
-    report = Report.from_results(IdentityId.CATALAN_GEN, result.params, [result])
+    params = SequenceParams(Fraction(1, 2), -3, Fraction(7, 5))
+    report = verify_range(IdentityId.CATALAN_GEN, params, n_max=3, r_max=1)
     payload = report.to_json_dict()
     assert payload["params"] == ["1/2", "-3", "7/5"]
-    assert payload["failures"][0]["lhs"] == "3/2"
-    assert payload["failures"][0]["rhs"] == "4"
+    assert payload["failed"] == payload["total"] == 7
+    assert payload["failures"][0] == {"n": 0, "r": 0, "lhs": "3/2", "rhs": "4"}
 
 
-def test_witnesses_expose_intermediates():
-    result = check(IdentityId.CATALAN_GEN, SequenceParams(1, 2, 3), 3, 1)
-    assert result.witness["rho"] == 6
-    assert result.witness["quartic"] == 1
-    assert result.witness["U(r)"] == 1
+@pytest.mark.parametrize("identity", list(IdentityId), ids=[ident.value for ident in IdentityId])
+def test_sweep_and_check_share_one_domain(identity, monkeypatch):
+    # verify_range must evaluate exactly the (n, r) that check accepts, in (n, r) order
+    seen = []
+
+    def record(params, n, r):
+        seen.append((n, r))
+        return Fraction(0), Fraction(0)
+
+    monkeypatch.setattr(identity, "_evaluate", record)
+    params = SequenceParams(1, 2, 3)
+    for n_max in range(identity.min_n, identity.min_n + 6):
+        for r_max in (None, 0, 2):
+            seen.clear()
+            for n in range(n_max + 1):
+                for r in [None, *range(n_max + 1)]:
+                    if r is not None and r_max is not None and r > r_max:
+                        continue
+                    try:
+                        check(identity, params, n, r)
+                    except ValueError:
+                        pass
+            accepted = list(dict.fromkeys(seen))  # cassini maps r = None and r = 1 to r = 1
+            seen.clear()
+            verify_range(identity, params, n_max=n_max, r_max=r_max)
+            assert seen == accepted, (n_max, r_max)
+
+
+def test_passing_sweep_builds_no_check_results(monkeypatch):
+    built = []
+
+    class Counted(identities.CheckResult):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(identities, "CheckResult", Counted)
+    report = verify_range(IdentityId.CATALAN_GEN, SequenceParams(1, 2, 3), n_max=20)
+    assert report.ok and report.total == 231
+    assert built == []
 
 
 REGISTRY = [

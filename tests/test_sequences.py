@@ -109,6 +109,9 @@ def test_seed_coercion():
     assert params.a == Fraction(1, 2)
     assert params.b == Fraction(-3)
     assert params.c == Fraction(7, 5)
+    assert SequenceParams("1/2", 0, 0).a == Fraction(1, 2)
+    with pytest.raises(TypeError, match="exact arithmetic only"):
+        SequenceParams(0.5, 1, 1)
 
 
 @given(seed_triples)
