@@ -5,6 +5,14 @@ oracle only and its right-hand side from the printed closed form only
 (periodic triples, powers of two, rho, the seed form), so a shared bug
 cannot mask a failure.  Equality is exact rational equality.
 
+Each LHS reads the oracle's integer prefix X(k)*D (D the lcm of the seed
+denominators) through sequences._scaled_prefix, evaluates on ints and
+divides once: by D**2 for the Catalan forms and D**4 for the
+Gelin-Cesaro forms.  The J / jL entries have integer seeds, so their D is
+1 and the int is the value.  The RHSs that need an oracle value (e5, e7,
+e10, e12 and the X(n)**2 of the Gelin-Cesaro forms) still read it
+through term.
+
 Catalog.  J = Jacobsthal numbers (seeds 0, 1, 1), jL = Jacobsthal-Lucas
 numbers (seeds 2, 1, 5), X = arbitrary rational seeds (a, b, c); triples
 are listed by residue of n mod 3.
@@ -52,9 +60,11 @@ from .sequences import (
     PeriodicTriple,
     SequenceParams,
     V_ORDINARY,
+    _check_index,
+    _fraction,
+    _scaled_prefix,
     companions,
     term,
-    term_range,
     u_value,
 )
 from .sums import prefix_sum_closed
@@ -151,77 +161,83 @@ def _gelin_j_rhs(n: int) -> Fraction:
 
 
 # Per-identity evaluators returning (lhs, rhs).  LHS terms come from the
-# oracle; RHS from the closed form under test.
+# oracle prefix; RHS from the closed form under test.
 
 _EC5_TABLE = (Fraction(1), Fraction(-2), Fraction(1))
 _E8_TABLE = (Fraction(1), Fraction(-1), Fraction(0))
 
 
+def _preset_terms(params: SequenceParams, last: int) -> tuple[int, ...]:
+    # J and jL have integer seeds: their prefix scale is 1, so the ints
+    # are the terms themselves
+    return _scaled_prefix(params, last)[0]
+
+
 def _eval_e4(params, n, r):
-    lhs = 3 * term(JACOBSTHAL, n) + term(JACOBSTHAL_LUCAS, n)
-    return lhs, Fraction(2) ** (n + 1)
+    j, jl = _preset_terms(JACOBSTHAL, n), _preset_terms(JACOBSTHAL_LUCAS, n)
+    return Fraction(3 * j[n] + jl[n]), Fraction(2) ** (n + 1)
 
 
 def _eval_e5(params, n, r):
-    lhs = term(JACOBSTHAL_LUCAS, n) - 3 * term(JACOBSTHAL, n)
-    return lhs, 2 * term(JACOBSTHAL_LUCAS, n - 3)
+    j, jl = _preset_terms(JACOBSTHAL, n), _preset_terms(JACOBSTHAL_LUCAS, n)
+    return Fraction(jl[n] - 3 * j[n]), 2 * term(JACOBSTHAL_LUCAS, n - 3)
 
 
 def _eval_ec5(params, n, r):
-    lhs = term(JACOBSTHAL, n + 2) - 4 * term(JACOBSTHAL, n)
-    return lhs, _EC5_TABLE[n % 3]
+    j = _preset_terms(JACOBSTHAL, n + 2)
+    return Fraction(j[n + 2] - 4 * j[n]), _EC5_TABLE[n % 3]
 
 
 def _eval_e6(params, n, r):
-    lhs = term(JACOBSTHAL_LUCAS, n) - 4 * term(JACOBSTHAL, n)
-    return lhs, V_ORDINARY.at(n)
+    j, jl = _preset_terms(JACOBSTHAL, n), _preset_terms(JACOBSTHAL_LUCAS, n)
+    return Fraction(jl[n] - 4 * j[n]), V_ORDINARY.at(n)
 
 
 def _eval_e7(params, n, r):
-    lhs = term(JACOBSTHAL_LUCAS, n + 1) + term(JACOBSTHAL_LUCAS, n)
-    return lhs, 3 * term(JACOBSTHAL, n + 2)
+    jl = _preset_terms(JACOBSTHAL_LUCAS, n + 1)
+    return Fraction(jl[n + 1] + jl[n]), 3 * term(JACOBSTHAL, n + 2)
 
 
 def _eval_e8(params, n, r):
-    lhs = term(JACOBSTHAL_LUCAS, n) - term(JACOBSTHAL, n + 2)
-    return lhs, _E8_TABLE[n % 3]
+    j, jl = _preset_terms(JACOBSTHAL, n + 2), _preset_terms(JACOBSTHAL_LUCAS, n)
+    return Fraction(jl[n] - j[n + 2]), _E8_TABLE[n % 3]
 
 
 def _eval_e9(params, n, r):
-    lhs = term(JACOBSTHAL_LUCAS, n - 3) ** 2 + 3 * term(JACOBSTHAL, n) * term(
-        JACOBSTHAL_LUCAS, n
-    )
-    return lhs, Fraction(4) ** n
+    j, jl = _preset_terms(JACOBSTHAL, n), _preset_terms(JACOBSTHAL_LUCAS, n)
+    return Fraction(jl[n - 3] ** 2 + 3 * j[n] * jl[n]), Fraction(4) ** n
 
 
 def _eval_e10(params, n, r):
-    return sum(term_range(JACOBSTHAL, 0, n)), prefix_sum_closed(n)
+    return Fraction(sum(_preset_terms(JACOBSTHAL, n)[: n + 1])), prefix_sum_closed(n)
 
 
 def _eval_e12(params, n, r):
-    lhs = term(JACOBSTHAL_LUCAS, n) ** 2 - 9 * term(JACOBSTHAL, n) ** 2
+    j, jl = _preset_terms(JACOBSTHAL, n), _preset_terms(JACOBSTHAL_LUCAS, n)
+    lhs = Fraction(jl[n] ** 2 - 9 * j[n] ** 2)
     return lhs, Fraction(2) ** (n + 2) * term(JACOBSTHAL_LUCAS, n - 3)
 
 
 def _eval_catalan_j(params, n, r):
-    lhs = term(JACOBSTHAL, n) ** 2 - term(JACOBSTHAL, n - r) * term(JACOBSTHAL, n + r)
-    return lhs, _catalan_j_rhs(n, r)
+    j = _preset_terms(JACOBSTHAL, n + r)
+    return Fraction(j[n] ** 2 - j[n - r] * j[n + r]), _catalan_j_rhs(n, r)
 
 
 def _eval_gelin_j(params, n, r):
-    j = lambda k: term(JACOBSTHAL, k)
-    lhs = j(n) ** 4 - j(n - 2) * j(n - 1) * j(n + 1) * j(n + 2)
+    j = _preset_terms(JACOBSTHAL, n + 2)
+    lhs = Fraction(j[n] ** 4 - j[n - 2] * j[n - 1] * j[n + 1] * j[n + 2])
     return lhs, _gelin_j_rhs(n)
 
 
 def _eval_catalan_gen(params, n, r):
-    lhs = term(params, n) ** 2 - term(params, n - r) * term(params, n + r)
+    x, scale = _scaled_prefix(params, n + r)
+    lhs = _fraction(x[n] ** 2 - x[n - r] * x[n + r], scale * scale)
     return lhs, _catalan_form(params, companions(params).v_gen, n, r)
 
 
 def _gelin_lhs(params, n):
-    x = lambda k: term(params, k)
-    return x(n) ** 4 - x(n - 2) * x(n - 1) * x(n + 1) * x(n + 2)
+    x, scale = _scaled_prefix(params, n + 2)
+    return _fraction(x[n] ** 4 - x[n - 2] * x[n - 1] * x[n + 1] * x[n + 2], scale**4)
 
 
 def _eval_gelin_gen(params, n, r):
@@ -353,12 +369,16 @@ def check(
     """Verify one instance of an identity; exact comparison, no rounding.
 
     For seed-specific entries (fixed_seeds True) the params argument is
-    ignored and the J / jL presets are used.  Out-of-domain (n, r) raises
+    ignored and the J / jL presets are used.  An n or r that is not an int
+    (bool included) raises TypeError; out-of-domain (n, r) raises
     ValueError naming the violated constraint.
 
     >>> check(IdentityId.E4, n=5).equal
     True
     """
+    _check_index("identity index n", n)
+    if r is not None:
+        _check_index("identity index r", r)
     if n < identity.min_n:
         raise ValueError(f"{identity.value} requires n >= {identity.min_n}, got n={n}")
     rule = identity._r_rule

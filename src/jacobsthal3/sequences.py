@@ -31,6 +31,13 @@ theirs for the life of the process.  The prefix is replaced wholesale when
 it grows, never mutated, so concurrent callers at worst recompute
 identical values.  The oracle reads nothing but the seeds and its own
 prefix.
+
+The prefix holds integers: X(k)*D, where the scale D is the lcm of the
+seed denominators (1 for integer seeds).  The recurrence has integer
+coefficients, so it extends on ints with no gcd per step; :func:`term`
+and :func:`term_range` divide by D on return.  Sums and identity sides
+that combine several terms read the scaled prefix through
+:func:`_scaled_prefix` and divide once.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .eisenstein import _as_fraction
 
@@ -47,8 +55,9 @@ class SequenceParams:
     """The rational seed triple (a, b, c) of the recurrence.
 
     Each instance also keeps what is derived from its seeds: the oracle
-    prefix X(0..N) of :func:`term`, grown on demand, and, computed on first
-    use, rho, the seed form and the companion triples.  None of it is a
+    prefix X(0..N) of :func:`term` as ints scaled by the lcm of the seed
+    denominators, grown on demand, and, computed on first use, rho, the
+    seed form and the companion triples.  None of it is a
     dataclass field, so equality, hash and repr see only (a, b, c), and all
     of it lives exactly as long as the instance.
     """
@@ -62,7 +71,10 @@ class SequenceParams:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "_prefix", (a, b, c))
+        scale = lcm(a.denominator, b.denominator, c.denominator)
+        object.__setattr__(self, "_scale", scale)
+        prefix = tuple(v.numerator * (scale // v.denominator) for v in (a, b, c))
+        object.__setattr__(self, "_prefix", prefix)
 
     @cached_property
     def rho(self) -> Fraction:
@@ -176,17 +188,25 @@ def _check_index(name: str, value: int) -> None:
         raise TypeError(f"{name} must be an int, got {type(value).__name__}")
 
 
-def _terms_through(params: SequenceParams, n: int) -> tuple[Fraction, ...]:
+def _scaled_prefix(params: SequenceParams, n: int) -> tuple[tuple[int, ...], int]:
+    """(X(0..N)*D, D) with N >= n: the oracle prefix as ints and its scale D.
+
+    The caller checks n; X(k) is prefix[k] / D.
+    """
     prefix = params._prefix
-    if len(prefix) > n:
-        return prefix
-    values = list(prefix)
-    target = max(n + 1, 2 * len(values))
-    while len(values) < target:
-        values.append(values[-1] + values[-2] + 2 * values[-3])
-    result = tuple(values)
-    object.__setattr__(params, "_prefix", result)
-    return result
+    if len(prefix) <= n:
+        values = list(prefix)
+        target = max(n + 1, 2 * len(values))
+        while len(values) < target:
+            values.append(values[-1] + values[-2] + 2 * values[-3])
+        prefix = tuple(values)
+        object.__setattr__(params, "_prefix", prefix)
+    return prefix, params._scale
+
+
+def _fraction(value: int, scale: int) -> Fraction:
+    """value / scale in lowest terms."""
+    return Fraction(value) if scale == 1 else Fraction(value, scale)
 
 
 def term(params: SequenceParams, n: int) -> Fraction:
@@ -201,7 +221,8 @@ def term(params: SequenceParams, n: int) -> Fraction:
     _check_index("term index n", n)
     if n < 0:
         raise ValueError(f"term index must be nonnegative, got {n}")
-    return _terms_through(params, n)[n]
+    prefix, scale = _scaled_prefix(params, n)
+    return _fraction(prefix[n], scale)
 
 
 def term_range(params: SequenceParams, first: int, last: int) -> list[Fraction]:
@@ -212,5 +233,5 @@ def term_range(params: SequenceParams, first: int, last: int) -> list[Fraction]:
         raise ValueError(f"range start must be nonnegative, got {first}")
     if first > last:
         raise ValueError(f"empty range: first ({first}) exceeds last ({last})")
-    table = _terms_through(params, last)
-    return list(table[first : last + 1])
+    prefix, scale = _scaled_prefix(params, last)
+    return [_fraction(v, scale) for v in prefix[first : last + 1]]

@@ -23,18 +23,23 @@ oracle.  The trace is read from the table of root powers by m mod 3 and
 is still taken through Eisenstein.rational_part(), so a w-part that failed
 to cancel would raise on every call.
 
-sum_oracle reads the oracle's prefix once, up to its largest index, and
-sums from it; its values never come from a closed form.
+sum_oracle reads the oracle's scaled integer prefix once, up to its
+largest index, sums ints from it and divides once; its values never come
+from a closed form.  Weighted sums scale the weights by the lcm of their
+denominators first.  strided_sum_closed reads its seven terms from the
+same integer prefix: mu and sigma are integers, so the brace is an int and
+the one division is by sigma times the prefix scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .eisenstein import OMEGA_POWERS, RationalLike, _as_fraction
-from .sequences import JACOBSTHAL, SequenceParams, _check_index, term, term_range
+from .sequences import JACOBSTHAL, SequenceParams, _check_index, _fraction, _scaled_prefix, term
 
 
 class DegenerateStrideError(ValueError):
@@ -76,10 +81,15 @@ def sum_oracle(
         _check_index("term index n", idx)
     if not index_list:
         return Fraction(0)
-    prefix = term_range(params, 0, max(index_list))
+    prefix, scale = _scaled_prefix(params, max(index_list))
     if weights is None:
-        return sum((prefix[idx] for idx in index_list), Fraction(0))
-    return sum((w * prefix[idx] for w, idx in zip(weight_list, index_list)), Fraction(0))
+        return _fraction(sum(map(prefix.__getitem__, index_list)), scale)
+    common = lcm(*(w.denominator for w in weight_list))
+    total = sum(
+        w.numerator * (common // w.denominator) * prefix[idx]
+        for w, idx in zip(weight_list, index_list)
+    )
+    return _fraction(total, common * scale)
 
 
 def prefix_sum_closed(n: int) -> Fraction:
@@ -172,7 +182,8 @@ class StridedSumContext:
 def strided_sum_closed(params: SequenceParams, m: int, r: int, n: int) -> Fraction:
     """Closed form of sum(X(m*k + r), k=0..n) for r >= m >= 1, 3 not | m.
 
-    Combines seven sequence terms and divides by sigma(m); raises
+    Combines seven terms of the scaled integer prefix and divides once,
+    by sigma(m) times the prefix scale; raises
     DegenerateStrideError when sigma(m) = 0 (m divisible by 3), where only
     the oracle applies.
     """
@@ -183,14 +194,17 @@ def strided_sum_closed(params: SequenceParams, m: int, r: int, n: int) -> Fracti
         raise DegenerateStrideError(
             "sigma=0 for m divisible by 3; the closed form degenerates, use sum_oracle"
         )
+    last = m * (n + 2) + r
+    x, scale = _scaled_prefix(params, last)
     two_m = 1 << m
-    head = term(params, m * (n + 1) + r) - term(params, r)
+    # mu and sigma have denominator 1, so the brace stays an int
+    head = x[m * (n + 1) + r] - x[r]
     brace = (
         head
-        + two_m * term(params, m * n + r)
-        - two_m * term(params, r - m)
-        - ctx.mu * head
-        + term(params, m * (n + 2) + r)
-        - term(params, r + m)
+        + two_m * x[m * n + r]
+        - two_m * x[r - m]
+        - ctx.mu.numerator * head
+        + x[last]
+        - x[r + m]
     )
-    return brace / ctx.sigma
+    return Fraction(brace, ctx.sigma.numerator * scale)

@@ -105,6 +105,33 @@ def test_check_domains():
         check(IdentityId.CASSINI_J, n=4, r=2)  # cassini fixes r = 1
 
 
+@pytest.mark.parametrize(
+    "identity, n, r, message",
+    [
+        (IdentityId.CATALAN_GEN, 5, True, r"^identity index r must be an int, got bool$"),
+        (IdentityId.GELIN_CESARO_GEN, 3.0, None, r"^identity index n must be an int, got float$"),
+        (IdentityId.E4, True, None, r"^identity index n must be an int, got bool$"),
+        (IdentityId.CASSINI_GEN, 2, True, r"^identity index r must be an int, got bool$"),
+    ],
+)
+def test_check_rejects_non_int_indices(identity, n, r, message):
+    # True would read as 1 and 3.0 would reach a tuple index
+    with pytest.raises(TypeError, match=message):
+        check(identity, SequenceParams(1, 2, 3), n, r)
+
+
+def test_lhs_reads_the_oracle_prefix_and_rhs_does_not():
+    seeds = (Fraction(1, 2), -3, Fraction(7, 5))
+    params = SequenceParams(*seeds)
+    assert check(IdentityId.CATALAN_GEN, params, 10, 1).equal
+    corrupted = list(params._prefix)
+    corrupted[11] += 1
+    object.__setattr__(params, "_prefix", tuple(corrupted))
+    result = check(IdentityId.CATALAN_GEN, params, 10, 1)
+    assert not result.equal
+    assert result.rhs == catalan_rhs(SequenceParams(*seeds), 10, 1)
+
+
 def test_cassini_is_catalan_at_r_one():
     for n in range(1, 30):
         cassini = check(IdentityId.CASSINI_J, n=n)

@@ -2,9 +2,10 @@ import dataclasses
 import gc
 import weakref
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from jacobsthal3.sequences import (
     JACOBSTHAL,
@@ -23,6 +24,13 @@ from jacobsthal3.sequences import (
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=20)
 seed_triples = st.builds(SequenceParams, rationals, rationals, rationals)
+# pairwise coprime denominators make the prefix scale a large lcm
+coprime_rationals = st.builds(
+    Fraction, st.integers(-40, 40), st.sampled_from([1, 2, 3, 13, 17, 19])
+)
+coprime_seed_triples = st.builds(
+    SequenceParams, coprime_rationals, coprime_rationals, coprime_rationals
+)
 
 
 # First terms by direct iteration of X(n+3) = X(n+2) + X(n+1) + 2*X(n).
@@ -214,3 +222,38 @@ def test_companions_are_built_once_per_params():
         w_gen=w_gen,
         t=PeriodicTriple(w_gen.at1 * w_gen.at2, w_gen.at2 * w_gen.at0, w_gen.at0 * w_gen.at1),
     )
+
+
+def fraction_terms(params: SequenceParams, last: int) -> list[Fraction]:
+    """X(0..last) by the recurrence on Fractions, independent of the oracle."""
+    values = [params.a, params.b, params.c]
+    while len(values) <= last:
+        values.append(values[-1] + values[-2] + 2 * values[-3])
+    return values[: last + 1]
+
+
+def _lowest_terms(value) -> bool:
+    return type(value) is Fraction and gcd(value.numerator, value.denominator) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(coprime_seed_triples, st.integers(0, 40), st.integers(0, 90))
+def test_term_and_term_range_match_a_fraction_recurrence(params, n, last):
+    expected = fraction_terms(params, max(n, last))
+    # term first, so term_range also reads a prefix grown in two steps
+    got = term(params, n)
+    assert got == expected[n] and _lowest_terms(got)
+    window = term_range(params, min(n, last), last)
+    assert window == expected[min(n, last) : last + 1]
+    assert all(map(_lowest_terms, window))
+
+
+def test_rational_prefix_holds_only_scaled_ints():
+    params = SequenceParams(Fraction(1, 13), Fraction(-5, 17), Fraction(7, 19))
+    term(params, 300)
+    assert params._scale == lcm(13, 17, 19)
+    assert len(params._prefix) > 300
+    assert all(type(value) is int for value in params._prefix)
+    assert term(params, 300) == fraction_terms(params, 300)[300]
+    # the identity LHSs read the J and jL prefixes as the terms themselves
+    assert JACOBSTHAL._scale == JACOBSTHAL_LUCAS._scale == 1

@@ -19,6 +19,13 @@ from jacobsthal3.sums import (
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=10)
 seed_triples = st.builds(SequenceParams, rationals, rationals, rationals)
+# pairwise coprime denominators make the prefix scale and the weight lcm large
+coprime_rationals = st.builds(
+    Fraction, st.integers(-40, 40), st.sampled_from([1, 2, 3, 13, 17, 19])
+)
+coprime_seed_triples = st.builds(
+    SequenceParams, coprime_rationals, coprime_rationals, coprime_rationals
+)
 
 PRESETS = [
     JACOBSTHAL,
@@ -60,8 +67,11 @@ def test_sum_oracle_checks_every_index_before_reading(monkeypatch, index, error,
     def unread(*args):
         raise AssertionError("the oracle was read before the indices were checked")
 
-    monkeypatch.setattr(sums, "term_range", unread)
-    monkeypatch.setattr(sums, "term", unread)
+    # every way sums can reach the oracle: the scaled prefix, and term or
+    # term_range should sums ever bind them
+    monkeypatch.setattr(sums, "_scaled_prefix", unread)
+    for name in ("term", "term_range"):
+        monkeypatch.setattr(sums, name, unread, raising=False)
     with pytest.raises(error, match=message):
         sum_oracle(SequenceParams(3, 1, 4), [0, 50, index, 2])
 
@@ -210,3 +220,43 @@ def test_strided_sum_sweep():
 def test_strided_single_stride_random_seeds(params, n):
     indices = [k + 1 for k in range(n + 1)]
     assert strided_sum_closed(params, 1, 1, n) == sum_oracle(params, indices)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coprime_seed_triples, st.lists(st.tuples(st.integers(0, 60), coprime_rationals), max_size=12))
+def test_sum_oracle_matches_a_naive_fraction_sum(params, pairs):
+    indices = [idx for idx, _ in pairs]
+    weights = [w for _, w in pairs]
+    assert sum_oracle(params, indices) == sum((term(params, k) for k in indices), Fraction(0))
+    weighted = sum((w * term(params, k) for k, w in pairs), Fraction(0))
+    assert sum_oracle(params, indices, weights) == weighted
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    coprime_seed_triples,
+    st.integers(1, 8).filter(lambda m: m % 3),
+    st.integers(0, 6),
+    st.integers(0, 12),
+)
+def test_strided_closed_form_matches_the_oracle_sum(params, m, extra, n):
+    r = m + extra
+    expected = sum_oracle(params, [m * k + r for k in range(n + 1)])
+    assert strided_sum_closed(params, m, r, n) == expected
+
+
+def test_sums_need_neither_term_nor_term_range(monkeypatch):
+    params = SequenceParams(Fraction(1, 13), Fraction(-5, 17), Fraction(7, 19))
+    indices = [4 * k + 5 for k in range(11)]
+    weights = [Fraction(1, 3) ** k for k in range(11)]
+    plain = sum((term(params, k) for k in indices), Fraction(0))
+    weighted = sum((w * term(params, k) for w, k in zip(weights, indices)), Fraction(0))
+
+    def refused(*args):
+        raise AssertionError("a sum built a Fraction per term")
+
+    for name in ("term", "term_range"):
+        monkeypatch.setattr(sums, name, refused, raising=False)
+    assert sum_oracle(params, indices) == plain
+    assert sum_oracle(params, indices, weights) == weighted
+    assert strided_sum_closed(params, 4, 5, 10) == plain
