@@ -9,6 +9,8 @@ generating function and summation closed forms are checked coefficient by
 coefficient.  All arithmetic is exact; no floating point anywhere.
 """
 
+from types import ModuleType as _ModuleType
+
 from .closed_forms import BinetCoefficients, binet_coefficients, binet_term, decomposed_term
 from .eisenstein import OMEGA1, OMEGA2, Eisenstein, NonRealResidueError
 from .identities import (
@@ -48,44 +50,8 @@ from .sums import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BinetCoefficients",
-    "CheckResult",
-    "CompanionSet",
-    "DegenerateStrideError",
-    "Eisenstein",
-    "IdentityId",
-    "JACOBSTHAL",
-    "JACOBSTHAL_LUCAS",
-    "NonRealResidueError",
-    "OMEGA1",
-    "OMEGA2",
-    "PeriodicTriple",
-    "RECURRENCE_DENOMINATOR",
-    "Report",
-    "SequenceParams",
-    "StridedSumContext",
-    "U_OFFSET",
-    "V_ORDINARY",
-    "W_ORDINARY",
-    "binet_coefficients",
-    "binet_term",
-    "catalan_rhs",
-    "charpoly",
-    "check",
-    "companions",
-    "decomposed_term",
-    "gelin_cesaro_rhs",
-    "gf_coefficients",
-    "gf_numerator",
-    "prefix_sum_closed",
-    "series_div",
-    "strided_sum_closed",
-    "sum_oracle",
-    "term",
-    "term_range",
-    "u_value",
-    "verify_range",
-    "weighted_sum_charpoly_form",
-    "weighted_sum_closed",
-]
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .eisenstein import OMEGA1, OMEGA2, OMEGA_POWERS, Eisenstein
-from .sequences import SequenceParams, companions
+from .sequences import SequenceParams, _check_index, companions
 
 _TWO = Eisenstein(2)
 
@@ -66,8 +66,7 @@ def binet_term(params: SequenceParams, n: int) -> Fraction:
     Raises NonRealResidueError if the w-parts fail to cancel, which would
     signal an internal inconsistency rather than a numeric issue.
     """
-    if n < 0:
-        raise ValueError(f"term index must be nonnegative, got {n}")
+    _check_index("term index n", n)
     coeffs = binet_coefficients(params)
     w1_n, w2_n = OMEGA_POWERS[n % 3]
     value = coeffs.A * (1 << n) - coeffs.B * w1_n + coeffs.C * w2_n
@@ -76,7 +75,6 @@ def binet_term(params: SequenceParams, n: int) -> Fraction:
 
 def decomposed_term(params: SequenceParams, n: int) -> Fraction:
     """Evaluate (rho*2**n - V(n)) / 7 with V the period-3 remainder triple."""
-    if n < 0:
-        raise ValueError(f"term index must be nonnegative, got {n}")
+    _check_index("term index n", n)
     remainder = companions(params).v_gen.at(n)
     return (params.rho * (1 << n) - remainder) / 7

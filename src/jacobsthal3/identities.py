@@ -41,9 +41,15 @@ Registry.  :class:`IdentityId` is the one table of the catalog: each
 member carries its CLI name, its smallest n, its r rule (no r, the grid
 0 <= r <= n, or r fixed at 1), whether it is pinned to the J / jL seeds,
 and its evaluator.  :func:`check` and :func:`verify_range` read nothing
-else.  The two Cassini entries are the r = 1 specializations of the
-Catalan forms; they share the Catalan evaluators and differ only in
-their r rule.
+else.  The domain is coded once: ``_r_values`` gives the r an instance at
+n takes under its rule, :func:`check` accepts exactly those r and
+:func:`verify_range` walks exactly those, and the rule's value is the
+phrase that check's error message prints.  The two Cassini entries are
+the r = 1 specializations of the Catalan forms; they share the Catalan
+evaluators and differ only in their r rule.  The general-seed Catalan
+and Gelin-Cesaro evaluators take their RHS from the public
+:func:`catalan_rhs` and :func:`gelin_cesaro_rhs`, so each printed form is
+coded once.
 """
 
 from __future__ import annotations
@@ -52,12 +58,11 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 from .sequences import (
     JACOBSTHAL,
     JACOBSTHAL_LUCAS,
-    PeriodicTriple,
     SequenceParams,
     V_ORDINARY,
     _check_index,
@@ -78,12 +83,11 @@ def catalan_rhs(params: SequenceParams, n: int, r: int) -> Fraction:
     with V = v_gen of the seeds.  The 2**-r factor is exact rational.
     At r = 0 both the bracket and U vanish, matching the trivial LHS.
     """
-    if r < 0 or r > n:
+    _check_index("identity index n", n)
+    _check_index("identity index r", r)
+    if r > n:
         raise ValueError(f"catalan closed form needs 0 <= r <= n, got n={n}, r={r}")
-    return _catalan_form(params, companions(params).v_gen, n, r)
-
-
-def _catalan_form(params: SequenceParams, v: PeriodicTriple, n: int, r: int) -> Fraction:
+    v = companions(params).v_gen
     bracket = (1 << r) * v.at(n - r) - 2 * v.at(n) + v.at(n + r) / (1 << r)
     return ((1 << n) * params.rho * bracket + 7 * params.quartic * u_value(r) ** 2) / 49
 
@@ -92,17 +96,6 @@ def _catalan_form(params: SequenceParams, v: PeriodicTriple, n: int, r: int) -> 
 #: the linear bracket and the coefficient of 2**(2n-1), by n mod 3.
 _GELIN_J_BRACKET = (Fraction(-11), Fraction(12), Fraction(-1))
 _GELIN_J_SQUARE_COEFF = (Fraction(9), Fraction(18), Fraction(-6))
-
-def _gelin_case_bracket(params: SequenceParams, n: int) -> Fraction:
-    # residue-split constants of the generalized fourth-power identity
-    a, b, c = params.a, params.b, params.c
-    table = (
-        -c - 10 * b + 24 * a,
-        -11 * c + 23 * b - 2 * a,
-        12 * c - 13 * b - 22 * a,
-    )
-    return table[n % 3]
-
 
 def gelin_cesaro_rhs(params: SequenceParams, n: int, mode: str = "general") -> Fraction:
     """Closed form of X(n)**4 - X(n-2)*X(n-1)*X(n+1)*X(n+2), n >= 2.
@@ -117,19 +110,23 @@ def gelin_cesaro_rhs(params: SequenceParams, n: int, mode: str = "general") -> F
     bracket constants and the product triple t(n) = W(n+1)*W(n+2); both
     modes must agree with each other and with the oracle LHS.
     """
+    _check_index("identity index n", n)
     if n < 2:
         raise ValueError(f"fourth-power closed form needs n >= 2, got {n}")
     comp = companions(params)
     if mode == "general":
-        return _gelin_general_form(params, comp.w_gen, n)
+        w_1, w_2 = comp.w_gen.at(n + 1), comp.w_gen.at(n + 2)
+        return _gelin_form(params, n, 3 * w_2 - 2 * w_1, w_1 * w_2)
     if mode == "cases":
-        return _gelin_form(params, n, _gelin_case_bracket(params, n), comp.t.at(n))
+        # residue-split constants of the generalized fourth-power identity
+        a, b, c = params.a, params.b, params.c
+        table = (
+            -c - 10 * b + 24 * a,
+            -11 * c + 23 * b - 2 * a,
+            12 * c - 13 * b - 22 * a,
+        )
+        return _gelin_form(params, n, table[n % 3], comp.t.at(n))
     raise ValueError(f"mode must be 'general' or 'cases', got {mode!r}")
-
-
-def _gelin_general_form(params: SequenceParams, w: PeriodicTriple, n: int) -> Fraction:
-    w_1, w_2 = w.at(n + 1), w.at(n + 2)
-    return _gelin_form(params, n, 3 * w_2 - 2 * w_1, w_1 * w_2)
 
 
 def _gelin_form(params: SequenceParams, n: int, bracket: Fraction, product: Fraction) -> Fraction:
@@ -232,7 +229,7 @@ def _eval_gelin_j(params, n, r):
 def _eval_catalan_gen(params, n, r):
     x, scale = _scaled_prefix(params, n + r)
     lhs = _fraction(x[n] ** 2 - x[n - r] * x[n + r], scale * scale)
-    return lhs, _catalan_form(params, companions(params).v_gen, n, r)
+    return lhs, catalan_rhs(params, n, r)
 
 
 def _gelin_lhs(params, n):
@@ -241,25 +238,29 @@ def _gelin_lhs(params, n):
 
 
 def _eval_gelin_gen(params, n, r):
-    rhs = _gelin_general_form(params, companions(params).w_gen, n)
-    return _gelin_lhs(params, n), rhs
+    return _gelin_lhs(params, n), gelin_cesaro_rhs(params, n)
 
 
 def _eval_gelin_cases(params, n, r):
-    bracket = _gelin_case_bracket(params, n)
-    rhs = _gelin_form(params, n, bracket, companions(params).t.at(n))
-    return _gelin_lhs(params, n), rhs
+    return _gelin_lhs(params, n), gelin_cesaro_rhs(params, n, "cases")
 
 
 _Evaluator = Callable[[SequenceParams, int, Optional[int]], tuple]
 
 
 class _RRule(Enum):
-    """Which r an instance of an identity takes."""
+    """Which r an instance of an identity takes; the value names it in messages."""
 
     NONE = "no r"
     GRID = "0 <= r <= n"
     ONE = "r = 1"
+
+
+def _r_values(rule: _RRule, n: int, r_max: Optional[int]) -> Sequence[Optional[int]]:
+    """The r that an instance at n takes under rule, the grid clipped at r_max."""
+    if rule is _RRule.GRID:
+        return range((n if r_max is None else min(n, r_max)) + 1)
+    return (1,) if rule is _RRule.ONE else (None,)
 
 
 class IdentityId(Enum):
@@ -370,8 +371,9 @@ def check(
 
     For seed-specific entries (fixed_seeds True) the params argument is
     ignored and the J / jL presets are used.  An n or r that is not an int
-    (bool included) raises TypeError; out-of-domain (n, r) raises
-    ValueError naming the violated constraint.
+    (bool included) raises TypeError and a negative one ValueError; r is
+    filled in as 1 where the rule fixes it, and any other (n, r) outside
+    the identity's domain raises ValueError stating that domain.
 
     >>> check(IdentityId.E4, n=5).equal
     True
@@ -379,20 +381,13 @@ def check(
     _check_index("identity index n", n)
     if r is not None:
         _check_index("identity index r", r)
-    if n < identity.min_n:
-        raise ValueError(f"{identity.value} requires n >= {identity.min_n}, got n={n}")
     rule = identity._r_rule
-    if rule is _RRule.ONE:
-        if r not in (None, 1):
-            raise ValueError(f"{identity.value} fixes r = 1, got r={r}")
+    if rule is _RRule.ONE and r is None:
         r = 1
-    elif rule is _RRule.GRID:
-        if r is None:
-            raise ValueError(f"{identity.value} requires r with 0 <= r <= n")
-        if r < 0 or r > n:
-            raise ValueError(f"{identity.value} requires 0 <= r <= n, got n={n}, r={r}")
-    elif r is not None:
-        raise ValueError(f"{identity.value} does not take r")
+    if n < identity.min_n or r not in _r_values(rule, n, None):
+        raise ValueError(
+            f"{identity.value} takes n >= {identity.min_n} and {rule.value}, got n={n}, r={r}"
+        )
     effective = JACOBSTHAL if identity.fixed_seeds else params
     lhs, rhs = identity._evaluate(effective, n, r)
     return CheckResult(identity=identity, params=effective, n=n, r=r, lhs=lhs, rhs=rhs)
@@ -404,12 +399,8 @@ def _instances(
     """The legal (n, r) of identity up to the bounds, in (n, r) order."""
     rule = identity._r_rule
     for n in range(identity.min_n, n_max + 1):
-        if rule is _RRule.GRID:
-            top = n if r_max is None else min(n, r_max)
-            for r in range(top + 1):
-                yield n, r
-        else:
-            yield n, 1 if rule is _RRule.ONE else None
+        for r in _r_values(rule, n, r_max):
+            yield n, r
 
 
 def verify_range(

@@ -184,8 +184,16 @@ def companions(params: SequenceParams) -> CompanionSet:
 
 
 def _check_index(name: str, value: int) -> None:
+    """The one index rule: value is a nonnegative int, and bool is not an int.
+
+    Raises TypeError for any other type (True would read as index 1 and a
+    float would reach a tuple index) and ValueError for a negative int; both
+    messages start with name.
+    """
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
 def _scaled_prefix(params: SequenceParams, n: int) -> tuple[tuple[int, ...], int]:
@@ -219,8 +227,6 @@ def term(params: SequenceParams, n: int) -> Fraction:
     ['0', '1', '1', '2', '5', '9', '18']
     """
     _check_index("term index n", n)
-    if n < 0:
-        raise ValueError(f"term index must be nonnegative, got {n}")
     prefix, scale = _scaled_prefix(params, n)
     return _fraction(prefix[n], scale)
 
@@ -229,8 +235,6 @@ def term_range(params: SequenceParams, first: int, last: int) -> list[Fraction]:
     """Terms first..last inclusive, computed in a single linear pass."""
     _check_index("range start first", first)
     _check_index("range end last", last)
-    if first < 0:
-        raise ValueError(f"range start must be nonnegative, got {first}")
     if first > last:
         raise ValueError(f"empty range: first ({first}) exceeds last ({last})")
     prefix, scale = _scaled_prefix(params, last)

@@ -97,8 +97,7 @@ def prefix_sum_closed(n: int) -> Fraction:
 
     J(n+1) when n is not a multiple of 3, J(n+1) - 1 when it is.
     """
-    if n < 0:
-        raise ValueError(f"prefix length must be nonnegative, got {n}")
+    _check_index("prefix length n", n)
     correction = 1 if n % 3 == 0 else 0
     return term(JACOBSTHAL, n + 1) - correction
 
@@ -112,11 +111,12 @@ def _weighted_numerator(params: SequenceParams, x: Fraction, n: int) -> Fraction
     return 2 * t_n + (t_n2 - t_n1) * x + t_n1 * x * x - x ** (n + 1) * seed_poly
 
 
-def _check_weighted_domain(x: Fraction) -> None:
+def _check_weighted_domain(x: Fraction, n: int) -> None:
     if x == 0:
         raise ValueError("x must be nonzero")
     if x == 2:
         raise ValueError("pole of the closed form at x = 2 (root of the characteristic polynomial); use sum_oracle")
+    _check_index("sum length n", n)
 
 
 def weighted_sum_closed(params: SequenceParams, x: RationalLike, n: int) -> Fraction:
@@ -126,9 +126,7 @@ def weighted_sum_closed(params: SequenceParams, x: RationalLike, n: int) -> Frac
     product (2 - x)*(w1 - x)*(w2 - x) written out.
     """
     x = _as_fraction(x)
-    _check_weighted_domain(x)
-    if n < 0:
-        raise ValueError(f"sum length must be nonnegative, got {n}")
+    _check_weighted_domain(x, n)
     return _weighted_numerator(params, x, n) / (x**n * -charpoly(x))
 
 
@@ -140,9 +138,7 @@ def weighted_sum_charpoly_form(params: SequenceParams, x: RationalLike, n: int) 
     pitfall; use weighted_sum_closed for the correct value.
     """
     x = _as_fraction(x)
-    _check_weighted_domain(x)
-    if n < 0:
-        raise ValueError(f"sum length must be nonnegative, got {n}")
+    _check_weighted_domain(x, n)
     return _weighted_numerator(params, x, n) / (x**n * charpoly(x))
 
 
@@ -171,6 +167,9 @@ class StridedSumContext:
             raise ValueError(
                 f"offset r must be at least the stride (r >= m keeps index r - m nonnegative), got r={r}, m={m}"
             )
+        # after the range checks, so every int keeps its message above
+        _check_index("stride m", m)
+        _check_index("offset r", r)
         w1_m, w2_m = OMEGA_POWERS[m % 3]
         trace = (w1_m + w2_m).rational_part()
         two_m = 1 << m
@@ -188,8 +187,7 @@ def strided_sum_closed(params: SequenceParams, m: int, r: int, n: int) -> Fracti
     the oracle applies.
     """
     ctx = StridedSumContext.of(m, r)
-    if n < 0:
-        raise ValueError(f"sum length must be nonnegative, got {n}")
+    _check_index("sum length n", n)
     if ctx.sigma == 0:
         raise DegenerateStrideError(
             "sigma=0 for m divisible by 3; the closed form degenerates, use sum_oracle"

@@ -1,9 +1,17 @@
-"""The package runs on the standard library alone (`dependencies = []`)."""
+"""What the package imports and exports.
 
+It runs on the standard library alone (`dependencies = []`), no module
+imports a name it never uses, and `__all__` is derived from the imports.
+"""
+
+import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
+
+import jacobsthal3
 
 ROOT = Path(__file__).resolve().parent.parent
 THIRD_PARTY = ("numpy", "sympy", "hypothesis", "pytest", "mpmath")
@@ -24,3 +32,47 @@ def test_import_loads_no_third_party_module():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names bound by an import in source and never read as a name."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # no linter is installed, so this is the unused-import check;
+    # __init__.py imports only to re-export
+    assert _unused_imports("import os.path\nfrom a import b as c, d\nd()") == ["c", "os"]
+    unused = {
+        path.name: names
+        for path in sorted((ROOT / "src" / "jacobsthal3").glob("*.py"))
+        if path.name != "__init__.py"
+        for names in [_unused_imports(path.read_text())]
+        if names
+    }
+    assert unused == {}
+
+
+def test_all_is_every_public_name_of_the_package_sorted():
+    names = jacobsthal3.__all__
+    assert names == sorted(names)
+    assert "term" in names
+    public = {
+        name
+        for name, value in vars(jacobsthal3).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert set(names) == public
+    assert not any(isinstance(getattr(jacobsthal3, name), ModuleType) for name in names)
+    namespace: dict = {}
+    exec("from jacobsthal3 import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == names

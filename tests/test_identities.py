@@ -89,19 +89,27 @@ def test_gelin_rhs_domain():
 
 
 def test_check_domains():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^e5 takes n >= 3 and no r, got n=2, r=None$"):
         check(IdentityId.E5, n=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^e9 takes n >= 3 and no r, got n=1, r=None$"):
         check(IdentityId.E9, n=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(
+        ValueError, match=r"^gelin-cesaro-gen takes n >= 2 and no r, got n=1, r=None$"
+    ):
         check(IdentityId.GELIN_CESARO_GEN, SequenceParams(1, 2, 3), n=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^identity index n must be nonnegative, got -1$"):
+        check(IdentityId.E4, n=-1)
+    with pytest.raises(
+        ValueError, match=r"^catalan-j takes n >= 0 and 0 <= r <= n, got n=4, r=None$"
+    ):
         check(IdentityId.CATALAN_J, n=4)  # r missing
-    with pytest.raises(ValueError):
+    with pytest.raises(
+        ValueError, match=r"^catalan-j takes n >= 0 and 0 <= r <= n, got n=4, r=5$"
+    ):
         check(IdentityId.CATALAN_J, n=4, r=5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^e4 takes n >= 0 and no r, got n=4, r=1$"):
         check(IdentityId.E4, n=4, r=1)  # r not accepted
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^cassini-j takes n >= 1 and r = 1, got n=4, r=2$"):
         check(IdentityId.CASSINI_J, n=4, r=2)  # cassini fixes r = 1
 
 

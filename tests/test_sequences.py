@@ -7,6 +7,8 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jacobsthal3.closed_forms import binet_term, decomposed_term
+from jacobsthal3.identities import catalan_rhs, gelin_cesaro_rhs
 from jacobsthal3.sequences import (
     JACOBSTHAL,
     JACOBSTHAL_LUCAS,
@@ -20,6 +22,13 @@ from jacobsthal3.sequences import (
     term,
     term_range,
     u_value,
+)
+from jacobsthal3.sums import (
+    StridedSumContext,
+    prefix_sum_closed,
+    strided_sum_closed,
+    weighted_sum_charpoly_form,
+    weighted_sum_closed,
 )
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=20)
@@ -180,6 +189,35 @@ def test_term_range_rejects_non_integer_bounds():
         term_range(JACOBSTHAL, False, 3)
     with pytest.raises(TypeError, match="last"):
         term_range(JACOBSTHAL, 0, 3.0)
+
+
+RATIONAL = SequenceParams(Fraction(1, 2), -3, Fraction(7, 5))
+INDEX_ARGUMENTS = {
+    "binet_term n": ("term index n", lambda i: binet_term(RATIONAL, i)),
+    "decomposed_term n": ("term index n", lambda i: decomposed_term(RATIONAL, i)),
+    "catalan_rhs n": ("identity index n", lambda i: catalan_rhs(RATIONAL, i, 1)),
+    "catalan_rhs r": ("identity index r", lambda i: catalan_rhs(RATIONAL, 3, i)),
+    "gelin_cesaro_rhs n": ("identity index n", lambda i: gelin_cesaro_rhs(RATIONAL, i)),
+    "prefix_sum_closed n": ("prefix length n", lambda i: prefix_sum_closed(i)),
+    "weighted_sum_closed n": ("sum length n", lambda i: weighted_sum_closed(RATIONAL, 3, i)),
+    "weighted_sum_charpoly_form n": (
+        "sum length n",
+        lambda i: weighted_sum_charpoly_form(RATIONAL, 3, i),
+    ),
+    "strided_sum_closed n": ("sum length n", lambda i: strided_sum_closed(RATIONAL, 1, 1, i)),
+    "StridedSumContext.of m": ("stride m", lambda i: StridedSumContext.of(i, 2)),
+    "StridedSumContext.of r": ("offset r", lambda i: StridedSumContext.of(1, i)),
+}
+
+
+@pytest.mark.parametrize("index", [True, 2.0], ids=["bool", "float"])
+@pytest.mark.parametrize("argument", list(INDEX_ARGUMENTS))
+def test_closed_forms_reject_bool_and_float_indices(argument, index):
+    # True would be evaluated as 1 and 2.0 would reach a tuple index
+    name, call = INDEX_ARGUMENTS[argument]
+    message = rf"^{name} must be an int, got {type(index).__name__}$"
+    with pytest.raises(TypeError, match=message):
+        call(index)
 
 
 def test_equal_seeds_give_equal_params_and_hashes():
