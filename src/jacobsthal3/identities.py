@@ -3,15 +3,19 @@
 Every check computes its left-hand side from the iterative recurrence
 oracle only and its right-hand side from the printed closed form only
 (periodic triples, powers of two, rho, the seed form), so a shared bug
-cannot mask a failure.  Equality is exact rational equality.
+cannot mask a failure.  Equality is exact: an evaluator returns each side
+as an int over a positive int denominator, (L, dL) and (R, dR), and the
+instance passes when L * dR == R * dL.  A denominator that is not positive
+raises ArithmeticError, since a zero one would pass any L and R.
+Fractions are built only for a CheckResult: by check and for failures.
 
 Each LHS reads the oracle's integer prefix X(k)*D (D the lcm of the seed
-denominators) through sequences._scaled_prefix, evaluates on ints and
-divides once: by D**2 for the Catalan forms and D**4 for the
-Gelin-Cesaro forms.  The J / jL entries have integer seeds, so their D is
-1 and the int is the value.  The RHSs that need an oracle value (e5, e7,
-e10, e12 and the X(n)**2 of the Gelin-Cesaro forms) still read it
-through term.
+denominators) through sequences._scaled_prefix, over D**2 for the Catalan
+forms and D**4 for the Gelin-Cesaro forms; the J / jL seeds are ints, so
+their D is 1.  Each general-seed RHS reads SequenceParams._rhs_ints, the
+seed constants scaled to ints by their own lcm, never the prefix.  The
+RHSs that need an oracle value (e5, e7, e10, e12 and the X(n)**2 of the
+Gelin-Cesaro forms) still read it through term.
 
 Catalog.  J = Jacobsthal numbers (seeds 0, 1, 1), jL = Jacobsthal-Lucas
 numbers (seeds 2, 1, 5), X = arbitrary rational seeds (a, b, c); triples
@@ -47,9 +51,9 @@ n takes under its rule, :func:`check` accepts exactly those r and
 phrase that check's error message prints.  The two Cassini entries are
 the r = 1 specializations of the Catalan forms; they share the Catalan
 evaluators and differ only in their r rule.  The general-seed Catalan
-and Gelin-Cesaro evaluators take their RHS from the public
-:func:`catalan_rhs` and :func:`gelin_cesaro_rhs`, so each printed form is
-coded once.
+and Gelin-Cesaro evaluators take their RHS from the same int forms that
+the public :func:`catalan_rhs` and :func:`gelin_cesaro_rhs` reduce to a
+Fraction, so each printed form is coded once.
 """
 
 from __future__ import annotations
@@ -66,13 +70,18 @@ from .sequences import (
     SequenceParams,
     V_ORDINARY,
     _check_index,
-    _fraction,
     _scaled_prefix,
-    companions,
     term,
     u_value,
 )
 from .sums import prefix_sum_closed
+
+#: A value as the int pair (numerator, positive denominator), not reduced.
+_Ratio = tuple[int, int]
+
+#: U(r)**2 by r mod 3, and the remainder triple V of J, as ints.
+_U_SQUARES = tuple(int(u_value(r)) ** 2 for r in range(3))
+_V_J = tuple(int(v) for v in V_ORDINARY)
 
 
 def catalan_rhs(params: SequenceParams, n: int, r: int) -> Fraction:
@@ -80,22 +89,27 @@ def catalan_rhs(params: SequenceParams, n: int, r: int) -> Fraction:
 
     (2**n * rho * (2**r * V(n-r) - 2*V(n) + V(n+r) / 2**r)
      + 7 * quartic * U(r)**2) / 49,
-    with V = v_gen of the seeds.  The 2**-r factor is exact rational.
+    with V = v_gen of the seeds, evaluated on ints over 49 * 2**r * D**2.
     At r = 0 both the bracket and U vanish, matching the trivial LHS.
     """
     _check_index("identity index n", n)
     _check_index("identity index r", r)
     if r > n:
         raise ValueError(f"catalan closed form needs 0 <= r <= n, got n={n}, r={r}")
-    v = companions(params).v_gen
-    bracket = (1 << r) * v.at(n - r) - 2 * v.at(n) + v.at(n + r) / (1 << r)
-    return ((1 << n) * params.rho * bracket + 7 * params.quartic * u_value(r) ** 2) / 49
+    return Fraction(*_catalan_ints(params, n, r))
+
+
+def _catalan_ints(params: SequenceParams, n: int, r: int) -> _Ratio:
+    # catalan_rhs times 49 * 2**r * D**2
+    d, rho, q, v, *_ = params._rhs_ints
+    bracket = (v[(n - r) % 3] << 2 * r) - (v[n % 3] << r + 1) + v[(n + r) % 3]
+    return (rho * bracket << n) + (7 * q * _U_SQUARES[r % 3] << r), 49 * d * d << r
 
 
 #: Residue-split constants of the J-specific fourth-power identity:
 #: the linear bracket and the coefficient of 2**(2n-1), by n mod 3.
-_GELIN_J_BRACKET = (Fraction(-11), Fraction(12), Fraction(-1))
-_GELIN_J_SQUARE_COEFF = (Fraction(9), Fraction(18), Fraction(-6))
+_GELIN_J_BRACKET = (-11, 12, -1)
+_GELIN_J_SQUARE_COEFF = (9, 18, -6)
 
 def gelin_cesaro_rhs(params: SequenceParams, n: int, mode: str = "general") -> Fraction:
     """Closed form of X(n)**4 - X(n-2)*X(n-1)*X(n+1)*X(n+2), n >= 2.
@@ -113,55 +127,48 @@ def gelin_cesaro_rhs(params: SequenceParams, n: int, mode: str = "general") -> F
     _check_index("identity index n", n)
     if n < 2:
         raise ValueError(f"fourth-power closed form needs n >= 2, got {n}")
-    comp = companions(params)
+    return Fraction(*_gelin_ints(params, n, mode))
+
+
+def _gelin_ints(params: SequenceParams, n: int, mode: str) -> _Ratio:
+    # gelin_cesaro_rhs times 49 * D**4 * N_den, where X(n)**2 = N / N_den
+    d, rho, q, _, w, t, cases = params._rhs_ints
     if mode == "general":
-        w_1, w_2 = comp.w_gen.at(n + 1), comp.w_gen.at(n + 2)
-        return _gelin_form(params, n, 3 * w_2 - 2 * w_1, w_1 * w_2)
-    if mode == "cases":
-        # residue-split constants of the generalized fourth-power identity
-        a, b, c = params.a, params.b, params.c
-        table = (
-            -c - 10 * b + 24 * a,
-            -11 * c + 23 * b - 2 * a,
-            12 * c - 13 * b - 22 * a,
-        )
-        return _gelin_form(params, n, table[n % 3], comp.t.at(n))
-    raise ValueError(f"mode must be 'general' or 'cases', got {mode!r}")
+        w_1, w_2 = w[(n + 1) % 3], w[(n + 2) % 3]
+        bracket, product = 3 * w_2 - 2 * w_1, w_1 * w_2
+    elif mode == "cases":
+        bracket, product = cases[n % 3], t[n % 3]
+    else:
+        raise ValueError(f"mode must be 'general' or 'cases', got {mode!r}")
+    num, den = term(params, n).as_integer_ratio()
+    square, square_den, d_2 = num * num, den * den, d * d
+    lin = rho * bracket << n - 2  # 2**(n-2) * rho * B
+    t_1 = 2 * q + lin
+    t_2 = q * q + lin * q - (3 * rho * rho * product << 2 * n - 3)
+    return 7 * square * t_1 * d_2 - t_2 * square_den, 49 * d_2 * d_2 * square_den
 
 
-def _gelin_form(params: SequenceParams, n: int, bracket: Fraction, product: Fraction) -> Fraction:
-    rho = params.rho
-    q = params.quartic
-    square = term(params, n) ** 2
-    p_lin = 1 << (n - 2)
-    p_sq = 1 << (2 * n - 3)
-    return (
-        square * (2 * q + p_lin * rho * bracket)
-        - (q * q + p_lin * rho * q * bracket - 3 * p_sq * rho * rho * product) / 7
-    ) / 7
-
-
-def _catalan_j_rhs(n: int, r: int) -> Fraction:
+def _catalan_j_rhs(n: int, r: int) -> _Ratio:
     # J-specific shape: 2**(n+1) replaces 2**n * rho and the seed form is 1.
-    v = V_ORDINARY
-    bracket = (1 << r) * v.at(n - r) - 2 * v.at(n) + v.at(n + r) / (1 << r)
-    return ((1 << (n + 1)) * bracket + 7 * u_value(r) ** 2) / 49
+    v = _V_J
+    bracket = (v[(n - r) % 3] << 2 * r) - (v[n % 3] << r + 1) + v[(n + r) % 3]
+    return (bracket << n + 1) + (7 * _U_SQUARES[r % 3] << r), 49 << r
 
 
-def _gelin_j_rhs(n: int) -> Fraction:
-    square = term(JACOBSTHAL, n) ** 2
+def _gelin_j_rhs(n: int) -> _Ratio:
+    num, den = term(JACOBSTHAL, n).as_integer_ratio()
     p_lin = 1 << (n - 1)
-    p_sq = 1 << (2 * n - 1)
-    k = _GELIN_J_BRACKET[n % 3]
-    s = _GELIN_J_SQUARE_COEFF[n % 3]
-    return (square * (2 + k * p_lin) - (1 + k * p_lin + s * p_sq) / 7) / 7
+    k, s = _GELIN_J_BRACKET[n % 3], _GELIN_J_SQUARE_COEFF[n % 3]
+    square_den = den * den
+    rhs = 7 * num * num * (2 + k * p_lin) - (1 + k * p_lin + (s << 2 * n - 1)) * square_den
+    return rhs, 49 * square_den
 
 
-# Per-identity evaluators returning (lhs, rhs).  LHS terms come from the
-# oracle prefix; RHS from the closed form under test.
+# Per-identity evaluators returning ((L, dL), (R, dR)): the LHS as ints from
+# the oracle prefix, the RHS as ints from the closed form under test.
 
-_EC5_TABLE = (Fraction(1), Fraction(-2), Fraction(1))
-_E8_TABLE = (Fraction(1), Fraction(-1), Fraction(0))
+_EC5_TABLE = (1, -2, 1)
+_E8_TABLE = (1, -1, 0)
 
 
 def _preset_terms(params: SequenceParams, last: int) -> tuple[int, ...]:
@@ -172,80 +179,78 @@ def _preset_terms(params: SequenceParams, last: int) -> tuple[int, ...]:
 
 def _eval_e4(params, n, r):
     j, jl = _preset_terms(JACOBSTHAL, n), _preset_terms(JACOBSTHAL_LUCAS, n)
-    return Fraction(3 * j[n] + jl[n]), Fraction(2) ** (n + 1)
+    return (3 * j[n] + jl[n], 1), (1 << n + 1, 1)
 
 
 def _eval_e5(params, n, r):
     j, jl = _preset_terms(JACOBSTHAL, n), _preset_terms(JACOBSTHAL_LUCAS, n)
-    return Fraction(jl[n] - 3 * j[n]), 2 * term(JACOBSTHAL_LUCAS, n - 3)
+    return (jl[n] - 3 * j[n], 1), (2 * term(JACOBSTHAL_LUCAS, n - 3)).as_integer_ratio()
 
 
 def _eval_ec5(params, n, r):
     j = _preset_terms(JACOBSTHAL, n + 2)
-    return Fraction(j[n + 2] - 4 * j[n]), _EC5_TABLE[n % 3]
+    return (j[n + 2] - 4 * j[n], 1), (_EC5_TABLE[n % 3], 1)
 
 
 def _eval_e6(params, n, r):
     j, jl = _preset_terms(JACOBSTHAL, n), _preset_terms(JACOBSTHAL_LUCAS, n)
-    return Fraction(jl[n] - 4 * j[n]), V_ORDINARY.at(n)
+    return (jl[n] - 4 * j[n], 1), (_V_J[n % 3], 1)
 
 
 def _eval_e7(params, n, r):
     jl = _preset_terms(JACOBSTHAL_LUCAS, n + 1)
-    return Fraction(jl[n + 1] + jl[n]), 3 * term(JACOBSTHAL, n + 2)
+    return (jl[n + 1] + jl[n], 1), (3 * term(JACOBSTHAL, n + 2)).as_integer_ratio()
 
 
 def _eval_e8(params, n, r):
     j, jl = _preset_terms(JACOBSTHAL, n + 2), _preset_terms(JACOBSTHAL_LUCAS, n)
-    return Fraction(jl[n] - j[n + 2]), _E8_TABLE[n % 3]
+    return (jl[n] - j[n + 2], 1), (_E8_TABLE[n % 3], 1)
 
 
 def _eval_e9(params, n, r):
     j, jl = _preset_terms(JACOBSTHAL, n), _preset_terms(JACOBSTHAL_LUCAS, n)
-    return Fraction(jl[n - 3] ** 2 + 3 * j[n] * jl[n]), Fraction(4) ** n
+    return (jl[n - 3] ** 2 + 3 * j[n] * jl[n], 1), (1 << 2 * n, 1)
 
 
 def _eval_e10(params, n, r):
-    return Fraction(sum(_preset_terms(JACOBSTHAL, n)[: n + 1])), prefix_sum_closed(n)
+    return (sum(_preset_terms(JACOBSTHAL, n)[: n + 1]), 1), prefix_sum_closed(n).as_integer_ratio()
 
 
 def _eval_e12(params, n, r):
     j, jl = _preset_terms(JACOBSTHAL, n), _preset_terms(JACOBSTHAL_LUCAS, n)
-    lhs = Fraction(jl[n] ** 2 - 9 * j[n] ** 2)
-    return lhs, Fraction(2) ** (n + 2) * term(JACOBSTHAL_LUCAS, n - 3)
+    rhs = term(JACOBSTHAL_LUCAS, n - 3) * (1 << n + 2)
+    return (jl[n] ** 2 - 9 * j[n] ** 2, 1), rhs.as_integer_ratio()
 
 
 def _eval_catalan_j(params, n, r):
     j = _preset_terms(JACOBSTHAL, n + r)
-    return Fraction(j[n] ** 2 - j[n - r] * j[n + r]), _catalan_j_rhs(n, r)
+    return (j[n] ** 2 - j[n - r] * j[n + r], 1), _catalan_j_rhs(n, r)
 
 
 def _eval_gelin_j(params, n, r):
     j = _preset_terms(JACOBSTHAL, n + 2)
-    lhs = Fraction(j[n] ** 4 - j[n - 2] * j[n - 1] * j[n + 1] * j[n + 2])
-    return lhs, _gelin_j_rhs(n)
+    return (j[n] ** 4 - j[n - 2] * j[n - 1] * j[n + 1] * j[n + 2], 1), _gelin_j_rhs(n)
 
 
 def _eval_catalan_gen(params, n, r):
     x, scale = _scaled_prefix(params, n + r)
-    lhs = _fraction(x[n] ** 2 - x[n - r] * x[n + r], scale * scale)
-    return lhs, catalan_rhs(params, n, r)
+    return (x[n] ** 2 - x[n - r] * x[n + r], scale * scale), _catalan_ints(params, n, r)
 
 
 def _gelin_lhs(params, n):
     x, scale = _scaled_prefix(params, n + 2)
-    return _fraction(x[n] ** 4 - x[n - 2] * x[n - 1] * x[n + 1] * x[n + 2], scale**4)
+    return x[n] ** 4 - x[n - 2] * x[n - 1] * x[n + 1] * x[n + 2], scale**4
 
 
 def _eval_gelin_gen(params, n, r):
-    return _gelin_lhs(params, n), gelin_cesaro_rhs(params, n)
+    return _gelin_lhs(params, n), _gelin_ints(params, n, "general")
 
 
 def _eval_gelin_cases(params, n, r):
-    return _gelin_lhs(params, n), gelin_cesaro_rhs(params, n, "cases")
+    return _gelin_lhs(params, n), _gelin_ints(params, n, "cases")
 
 
-_Evaluator = Callable[[SequenceParams, int, Optional[int]], tuple]
+_Evaluator = Callable[[SequenceParams, int, Optional[int]], tuple[_Ratio, _Ratio]]
 
 
 class _RRule(Enum):
@@ -389,8 +394,16 @@ def check(
             f"{identity.value} takes n >= {identity.min_n} and {rule.value}, got n={n}, r={r}"
         )
     effective = JACOBSTHAL if identity.fixed_seeds else params
-    lhs, rhs = identity._evaluate(effective, n, r)
-    return CheckResult(identity=identity, params=effective, n=n, r=r, lhs=lhs, rhs=rhs)
+    lhs, lhs_den, rhs, rhs_den = _sides(identity, effective, n, r)
+    return CheckResult(identity, effective, n, r, Fraction(lhs, lhs_den), Fraction(rhs, rhs_den))
+
+
+def _sides(identity: IdentityId, params: SequenceParams, n: int, r: Optional[int]) -> tuple:
+    """(L, dL, R, dR) of one instance; a zero dL or dR would pass any L and R."""
+    (lhs, lhs_den), (rhs, rhs_den) = identity._evaluate(params, n, r)
+    if lhs_den <= 0 or rhs_den <= 0:
+        raise ArithmeticError(f"{identity.value} at n={n}, r={r}: denominators must be positive")
+    return lhs, lhs_den, rhs, rhs_den
 
 
 def _instances(
@@ -426,14 +439,19 @@ def verify_range(
         )
     if identity.uses_r and r_max is not None and r_max < 0:
         raise ValueError(f"r_max for {identity.value} must be nonnegative, got {r_max}")
+    # after the range checks, so every int keeps its message above
+    _check_index(f"n_max for {identity.value}", n_max)
+    if identity.uses_r and r_max is not None:
+        _check_index(f"r_max for {identity.value}", r_max)
     effective = JACOBSTHAL if identity.fixed_seeds else params
     total = failed = 0
     failures: list[CheckResult] = []
     for n, r in _instances(identity, n_max, r_max):
-        lhs, rhs = identity._evaluate(effective, n, r)
+        lhs, lhs_den, rhs, rhs_den = _sides(identity, effective, n, r)
         total += 1
-        if lhs != rhs:
+        if lhs * rhs_den != rhs * lhs_den:
             failed += 1
             if failed <= MAX_FAILURE_WITNESSES:
-                failures.append(CheckResult(identity, effective, n, r, lhs, rhs))
+                witness = Fraction(lhs, lhs_den), Fraction(rhs, rhs_den)
+                failures.append(CheckResult(identity, effective, n, r, *witness))
     return Report(identity, effective, total, total - failed, failed, tuple(failures))

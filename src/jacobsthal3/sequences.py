@@ -57,7 +57,7 @@ class SequenceParams:
     Each instance also keeps what is derived from its seeds: the oracle
     prefix X(0..N) of :func:`term` as ints scaled by the lcm of the seed
     denominators, grown on demand, and, computed on first use, rho, the
-    seed form and the companion triples.  None of it is a
+    seed form, the companion triples and their ints.  None of it is a
     dataclass field, so equality, hash and repr see only (a, b, c), and all
     of it lives exactly as long as the instance.
     """
@@ -104,6 +104,25 @@ class SequenceParams:
             w_gen.at0 * w_gen.at1,
         )
         return CompanionSet(v_gen=v_gen, w_gen=w_gen, t=t)
+
+    @cached_property
+    def _rhs_ints(self) -> tuple:
+        """(D, rho*D, quartic*D**2, v_gen*D, w_gen*D, t*D**2, cases*D) as ints.
+
+        D is the seeds' own lcm, never read from the oracle prefix; cases is
+        the Gelin-Cesaro residue-split bracket; triples go by n mod 3.  Each
+        value is an integer form in the seeds of its power of D's degree.
+        """
+        d = lcm(self.a.denominator, self.b.denominator, self.c.denominator)
+
+        def scaled(values, scale):
+            return tuple(v.numerator * (scale // v.denominator) for v in values)
+
+        a, b, c = scaled((self.a, self.b, self.c), d)
+        (rho,), (q,) = scaled((self.rho,), d), scaled((self.quartic,), d * d)
+        comp = companions(self)
+        cases = (-c - 10 * b + 24 * a, -11 * c + 23 * b - 2 * a, 12 * c - 13 * b - 22 * a)
+        return d, rho, q, scaled(comp.v_gen, d), scaled(comp.w_gen, d), scaled(comp.t, d * d), cases
 
     def __str__(self) -> str:
         return f"({self.a}, {self.b}, {self.c})"

@@ -21,7 +21,8 @@ The strided closed form divides by sigma(m) = 2**(m+1) +
 closed form is provided and DegenerateStrideError directs callers to the
 oracle.  The trace is read from the table of root powers by m mod 3 and
 is still taken through Eisenstein.rational_part(), so a w-part that failed
-to cancel would raise on every call.
+to cancel would raise on each miss of the bounded cache, keyed on (m, r)
+and their types, that memoises StridedSumContext.of.
 
 sum_oracle reads the oracle's scaled integer prefix once, up to its
 largest index, sums ints from it and divides once; its values never come
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
@@ -160,6 +162,7 @@ class StridedSumContext:
     sigma: Fraction
 
     @classmethod
+    @lru_cache(maxsize=256, typed=True)  # True == 1 and 2.0 == 2 must still miss
     def of(cls, m: int, r: int) -> "StridedSumContext":
         if m < 1:
             raise ValueError(f"stride m must be positive, got {m}")

@@ -170,6 +170,21 @@ def test_verify_range_r_max_clips_grid():
     assert report.failed == 0
 
 
+@pytest.mark.parametrize(
+    "n_max, r_max, message",
+    [
+        (True, None, r"^n_max for catalan-j must be an int, got bool$"),
+        (3.0, None, r"^n_max for catalan-j must be an int, got float$"),
+        (5, True, r"^r_max for catalan-j must be an int, got bool$"),
+        (5, 3.0, r"^r_max for catalan-j must be an int, got float$"),
+    ],
+)
+def test_verify_range_rejects_non_int_bounds(n_max, r_max, message):
+    # True would sweep n <= 1 or clip at r = 1, and 3.0 would reach range()
+    with pytest.raises(TypeError, match=message):
+        verify_range(IdentityId.CATALAN_J, n_max=n_max, r_max=r_max)
+
+
 def test_verify_range_bound_below_min_n():
     with pytest.raises(ValueError):
         verify_range(IdentityId.E5, n_max=2)
@@ -248,7 +263,7 @@ def test_report_json_shape():
 
 
 def test_report_caps_failure_witnesses(monkeypatch):
-    monkeypatch.setattr(IdentityId.E4, "_evaluate", lambda params, n, r: (Fraction(0), Fraction(1)))
+    monkeypatch.setattr(IdentityId.E4, "_evaluate", lambda params, n, r: ((0, 1), (1, 1)))
     report = verify_range(IdentityId.E4, n_max=39)
     assert report.total == 40
     assert report.failed == 40
@@ -262,7 +277,7 @@ def test_report_caps_failure_witnesses(monkeypatch):
 
 def test_report_renders_fractions_without_unit_denominator(monkeypatch):
     monkeypatch.setattr(
-        IdentityId.CATALAN_GEN, "_evaluate", lambda params, n, r: (Fraction(3, 2), Fraction(4))
+        IdentityId.CATALAN_GEN, "_evaluate", lambda params, n, r: ((3, 2), (4, 1))
     )
     params = SequenceParams(Fraction(1, 2), -3, Fraction(7, 5))
     report = verify_range(IdentityId.CATALAN_GEN, params, n_max=3, r_max=1)
@@ -279,7 +294,7 @@ def test_sweep_and_check_share_one_domain(identity, monkeypatch):
 
     def record(params, n, r):
         seen.append((n, r))
-        return Fraction(0), Fraction(0)
+        return (0, 1), (0, 1)
 
     monkeypatch.setattr(identity, "_evaluate", record)
     params = SequenceParams(1, 2, 3)
@@ -344,3 +359,90 @@ def test_registry_entry(position, entry):
 
 def test_registry_has_no_other_entries():
     assert len(IdentityId) == len(REGISTRY)
+
+
+#: Each linear entry's LHS from term alone, given readers of J and jL.
+LINEAR_LHS = {
+    "e4": lambda j, jl, n: 3 * j(n) + jl(n),
+    "e5": lambda j, jl, n: jl(n) - 3 * j(n),
+    "ec5": lambda j, jl, n: j(n + 2) - 4 * j(n),
+    "e6": lambda j, jl, n: jl(n) - 4 * j(n),
+    "e7": lambda j, jl, n: jl(n + 1) + jl(n),
+    "e8": lambda j, jl, n: jl(n) - j(n + 2),
+    "e9": lambda j, jl, n: jl(n - 3) ** 2 + 3 * j(n) * jl(n),
+    "e10": lambda j, jl, n: sum(j(k) for k in range(n + 1)),
+    "e12": lambda j, jl, n: jl(n) ** 2 - 9 * j(n) ** 2,
+}
+
+
+def _from_term(identity, seeds, n, r):
+    """(LHS, public RHS) of an instance: the LHS from term alone, the RHS
+    from the public Fraction form, or None for the linear entries."""
+    x = lambda k: term(seeds, k)
+    if identity.value in LINEAR_LHS:
+        lhs = LINEAR_LHS[identity.value](
+            lambda k: term(JACOBSTHAL, k), lambda k: term(JACOBSTHAL_LUCAS, k), n
+        )
+        return lhs, None
+    if r is not None:
+        return x(n) ** 2 - x(n - r) * x(n + r), catalan_rhs(seeds, n, r)
+    mode = "cases" if identity is IdentityId.GELIN_CESARO_CASES else "general"
+    lhs = x(n) ** 4 - x(n - 2) * x(n - 1) * x(n + 1) * x(n + 2)
+    return lhs, gelin_cesaro_rhs(seeds, n, mode)
+
+
+small_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=20)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.builds(SequenceParams, small_rationals, small_rationals, small_rationals),
+    st.integers(min_value=0, max_value=40),
+    st.data(),
+)
+def test_int_sides_reduce_to_the_fraction_forms(params, n, data):
+    r_drawn = data.draw(st.integers(min_value=0, max_value=n))
+    for identity in IdentityId:
+        if n < identity.min_n:
+            continue
+        r = r_drawn if identity.uses_r else identities._r_values(identity._r_rule, n, None)[0]
+        seeds = JACOBSTHAL if identity.fixed_seeds else params
+        (lhs, lhs_den), (rhs, rhs_den) = identity._evaluate(seeds, n, r)
+        oracle, public = _from_term(identity, seeds, n, r)
+        # each identity holds, so both int sides reduce to the oracle's value
+        assert Fraction(lhs, lhs_den) == oracle == Fraction(rhs, rhs_den), identity
+        assert public is None or public == oracle, identity
+
+
+@pytest.mark.parametrize("identity", list(IdentityId), ids=[ident.value for ident in IdentityId])
+def test_evaluators_return_ints_over_positive_denominators(identity):
+    seeds = (
+        JACOBSTHAL,
+        SequenceParams(Fraction(1, 2), -3, Fraction(7, 5)),
+        SequenceParams(-4, Fraction(2, 9), 0),
+    )
+    for params in seeds:
+        for n, r in identities._instances(identity, identity.min_n + 8, None):
+            sides = identity._evaluate(params, n, r)
+            values = [value for side in sides for value in side]
+            assert len(values) == 4
+            assert all(type(value) is int for value in values), (n, r, values)
+            assert values[1] > 0 and values[3] > 0, (n, r, values)
+
+
+@pytest.mark.parametrize("broken", ["lhs", "rhs"])
+def test_zero_denominator_raises_instead_of_passing(broken, monkeypatch):
+    # with a zero denominator and a zero numerator, L * dR == R * dL holds
+    # for every instance; the guard must refuse it, never report ok
+    original = IdentityId.CATALAN_GEN._evaluate
+
+    def mutated(params, n, r):
+        lhs, rhs = original(params, n, r)
+        return ((0, 0), rhs) if broken == "lhs" else (lhs, (0, 0))
+
+    monkeypatch.setattr(IdentityId.CATALAN_GEN, "_evaluate", mutated)
+    params = SequenceParams(1, 2, 3)
+    with pytest.raises(ArithmeticError, match="denominators must be positive"):
+        verify_range(IdentityId.CATALAN_GEN, params, n_max=5)
+    with pytest.raises(ArithmeticError, match="denominators must be positive"):
+        check(IdentityId.CATALAN_GEN, params, 4, 2)

@@ -173,8 +173,19 @@ def test_strided_constants_use_no_powers_in_q_w(monkeypatch):
         raise AssertionError("StridedSumContext.of powered an Eisenstein value")
 
     monkeypatch.setattr(Eisenstein, "__pow__", refused)
+    StridedSumContext.of.cache_clear()  # a cached context would skip the body
     for m in range(1, 13):
         StridedSumContext.of(m, m + 5)
+
+
+def test_strided_context_cache_keys_on_argument_types():
+    # True == 1 and 2.0 == 2 hash alike; a warm int entry must not answer them
+    StridedSumContext.of(1, 1)
+    StridedSumContext.of(2, 2)
+    for m, r in ((True, True), (1.0, 1), (2, 2.0)):
+        with pytest.raises(TypeError):
+            StridedSumContext.of(m, r)
+    assert StridedSumContext.of(5, 9) is StridedSumContext.of(5, 9)
 
 
 def test_strided_context_validation():
