@@ -13,11 +13,19 @@ and writes each line as soon as the next term is computed, keeping three
 terms in memory however many it writes.  Its usage errors are all raised
 before anything is written, but a write error partway through still exits 3
 and may leave a partial --output file.
+
+main builds its argparse parser on its first call and reuses it for every
+later call in the same process, so each cmd_* function is bound to its
+subcommand once per process.  Reuse changes no output: each parse fills a
+new Namespace, every default is immutable, and argparse reads the streams
+and the terminal width (COLUMNS) only when it formats help or an error.
+build_parser still returns a new parser on every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -119,6 +127,10 @@ def build_parser() -> argparse.ArgumentParser:
     selftest.set_defaults(func=cmd_selftest)
 
     return parser
+
+
+#: The parser main parses with, built on its first call.
+_parser = functools.cache(build_parser)
 
 
 def _emit(lines: Iterable[str], output: Optional[str]) -> None:
@@ -400,9 +412,8 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     # Terms from about n = 14,290 have more digits than the interpreter lets

@@ -12,8 +12,10 @@ Fractions are built only for a CheckResult: by check and for failures.
 Each LHS reads the oracle's integer prefix X(k)*D (D the lcm of the seed
 denominators) through sequences._scaled_prefix, over D**2 for the Catalan
 forms and D**4 for the Gelin-Cesaro forms; the J / jL seeds are ints, so
-their D is 1.  Each general-seed RHS reads SequenceParams._rhs_ints, the
-seed constants scaled to ints by their own lcm, never the prefix.  The
+their D is 1.  e10's LHS reads the prefix's running sum, kept next to it
+(sequences._scaled_prefix_sums), so each instance costs one lookup.  Each
+general-seed RHS reads SequenceParams._rhs_ints, the seed constants scaled
+to ints by their own lcm, never the prefix.  The
 RHSs that need an oracle value (e5, e7, e10, e12 and the X(n)**2 of the
 Gelin-Cesaro forms) still read it through term.
 
@@ -71,6 +73,7 @@ from .sequences import (
     V_ORDINARY,
     _check_index,
     _scaled_prefix,
+    _scaled_prefix_sums,
     term,
     u_value,
 )
@@ -213,7 +216,7 @@ def _eval_e9(params, n, r):
 
 
 def _eval_e10(params, n, r):
-    return (sum(_preset_terms(JACOBSTHAL, n)[: n + 1]), 1), prefix_sum_closed(n).as_integer_ratio()
+    return (_scaled_prefix_sums(JACOBSTHAL, n)[n], 1), prefix_sum_closed(n).as_integer_ratio()
 
 
 def _eval_e12(params, n, r):
@@ -425,8 +428,10 @@ def verify_range(
     """Check every legal (n, r) instance up to the bounds.
 
     For Catalan entries the grid is triangular (0 <= r <= n), optionally
-    clipped at r_max.  Instances run in (n, r) order, so reports are
-    deterministic; only the first MAX_FAILURE_WITNESSES failures are kept.
+    clipped at r_max; the other entries ignore r_max, but every entry
+    takes it only as None or a nonnegative int.  Instances run in (n, r)
+    order, so reports are deterministic; only the first
+    MAX_FAILURE_WITNESSES failures are kept.
     Bounds that leave the grid empty raise ValueError: an empty sweep
     checks nothing, so it must not pass.
 
@@ -437,11 +442,9 @@ def verify_range(
         raise ValueError(
             f"n_max for {identity.value} must be at least {identity.min_n}, got {n_max}"
         )
-    if identity.uses_r and r_max is not None and r_max < 0:
-        raise ValueError(f"r_max for {identity.value} must be nonnegative, got {r_max}")
-    # after the range checks, so every int keeps its message above
+    # after the range check, so every int n_max keeps its message above
     _check_index(f"n_max for {identity.value}", n_max)
-    if identity.uses_r and r_max is not None:
+    if r_max is not None:
         _check_index(f"r_max for {identity.value}", r_max)
     effective = JACOBSTHAL if identity.fixed_seeds else params
     total = failed = 0

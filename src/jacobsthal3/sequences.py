@@ -24,13 +24,13 @@ where V is periodic with period 3.  This module provides:
 
 All values are immutable and all functions are pure.  Everything derived
 from a seed triple is kept on its :class:`SequenceParams` instance and
-lives exactly as long as that instance: the oracle prefix X(0..N), rho, the
-seed form and the companion triples.  The module presets JACOBSTHAL and
-JACOBSTHAL_LUCAS, like any params held at module level, therefore keep
-theirs for the life of the process.  The prefix is replaced wholesale when
-it grows, never mutated, so concurrent callers at worst recompute
-identical values.  The oracle reads nothing but the seeds and its own
-prefix.
+lives exactly as long as that instance: the oracle prefix X(0..N) and its
+running sum, rho, the seed form and the companion triples.  The module
+presets JACOBSTHAL and JACOBSTHAL_LUCAS, like any params held at module
+level, therefore keep theirs for the life of the process.  The prefix and
+its running sum are replaced wholesale when they grow, never mutated, so
+concurrent callers at worst recompute identical values.  The oracle reads
+nothing but the seeds and its own prefix.
 
 The prefix holds integers: X(k)*D, where the scale D is the lcm of the
 seed denominators (1 for integer seeds).  The recurrence has integer
@@ -45,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import lcm
 
 from .eisenstein import _as_fraction
@@ -56,8 +57,8 @@ class SequenceParams:
 
     Each instance also keeps what is derived from its seeds: the oracle
     prefix X(0..N) of :func:`term` as ints scaled by the lcm of the seed
-    denominators, grown on demand, and, computed on first use, rho, the
-    seed form, the companion triples and their ints.  None of it is a
+    denominators and its running sum, both grown on demand, and, computed
+    on first use, rho, the seed form, the companion triples and their ints.  None of it is a
     dataclass field, so equality, hash and repr see only (a, b, c), and all
     of it lives exactly as long as the instance.
     """
@@ -75,6 +76,7 @@ class SequenceParams:
         object.__setattr__(self, "_scale", scale)
         prefix = tuple(v.numerator * (scale // v.denominator) for v in (a, b, c))
         object.__setattr__(self, "_prefix", prefix)
+        object.__setattr__(self, "_prefix_sums", tuple(accumulate(prefix)))
 
     @cached_property
     def rho(self) -> Fraction:
@@ -229,6 +231,20 @@ def _scaled_prefix(params: SequenceParams, n: int) -> tuple[tuple[int, ...], int
         prefix = tuple(values)
         object.__setattr__(params, "_prefix", prefix)
     return prefix, params._scale
+
+
+def _scaled_prefix_sums(params: SequenceParams, n: int) -> tuple[int, ...]:
+    """(S(0..N)) with N >= n: S(k) = (X(0) + ... + X(k))*D, D as in _scaled_prefix.
+
+    The running sum of the prefix, kept on params next to it and extended
+    from it with one int addition per new k.  The caller checks n.
+    """
+    sums = params._prefix_sums
+    if len(sums) <= n:
+        prefix = _scaled_prefix(params, n)[0]
+        sums += tuple(accumulate(prefix[len(sums) :], initial=sums[-1]))[1:]
+        object.__setattr__(params, "_prefix_sums", sums)
+    return sums
 
 
 def _fraction(value: int, scale: int) -> Fraction:

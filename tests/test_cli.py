@@ -1,5 +1,6 @@
 """CLI surface: formats, exit codes, round trips, determinism."""
 
+import argparse
 import contextlib
 import decimal
 import io
@@ -15,7 +16,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from jacobsthal3.cli import main
+from jacobsthal3.cli import build_parser, main
+from jacobsthal3.identities import IdentityId, verify_range
 from jacobsthal3.sequences import JACOBSTHAL, SequenceParams, term, term_range
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -344,9 +346,13 @@ def test_gen_leaves_the_decimal_context_alone(capsys, argv, code):
     assert context.prec == prec
 
 
-def test_gen_exits_cleanly_when_the_reader_closes_the_pipe():
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+def _subprocess_env():
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+
+
+def test_gen_exits_cleanly_when_the_reader_closes_the_pipe():
+    env = _subprocess_env()
     for _ in range(3):
         proc = subprocess.Popen([sys.executable, "-m", "jacobsthal3", "gen", "--to", "20000"],
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
@@ -413,3 +419,73 @@ def test_selftest_lines_and_counts_are_pinned(capsys):
     battery, _, last = out.rpartition("PASS  selftest finished in ")
     assert battery == SELFTEST_STDOUT
     assert re.fullmatch(r"\d+\.\ds\n", last)
+
+
+# main reuses one parser per process; these sequences check that nothing
+# of one call reaches the next.
+
+def test_reused_parser_keeps_no_seeds_between_calls(capsys):
+    code, out, _ = run(capsys, "verify", "--identity", "catalan-gen",
+                       "--a=1/2", "--b=-3", "--c=7/5")
+    assert code == 0 and json.loads(out)["params"] == ["1/2", "-3", "7/5"]
+    default_seeds = verify_range(IdentityId.CATALAN_GEN, n_max=50).to_json() + "\n"
+    assert run(capsys, "verify", "--identity", "catalan-gen") == (0, default_seeds, "")
+
+
+def test_reused_parser_keeps_no_output_path_between_calls(capsys, tmp_path):
+    path = tmp_path / "out.csv"
+    assert run(capsys, "gen", "--to", "4", "--output", str(path)) == (0, "", "")
+    expected = "n,value\n0,0\n1,1\n2,1\n3,2\n4,5\n"
+    assert run(capsys, "gen", "--to", "4") == (0, expected, "")
+    assert path.read_text() == expected
+
+
+def test_usage_errors_leave_the_next_call_as_in_a_fresh_process(capsys):
+    argv = ["verify", "--identity", "e4", "--n-max", "5"]
+    fresh = subprocess.run([sys.executable, "-m", "jacobsthal3", *argv], capture_output=True,
+                           text=True, env=_subprocess_env(), timeout=120)
+    for bad in (["gen", "--a=1/0", "--to", "3"], ["gen"]):
+        code, out, err = run(capsys, *bad)
+        assert (code, out) == (2, "")
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(bad)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == err
+    assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+def _subparser(parser, name):
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices[name]
+
+
+def test_help_follows_the_terminal_width_of_each_call(capsys, monkeypatch):
+    helps = []
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        fresh = build_parser()
+        assert run(capsys, "--help") == (0, fresh.format_help(), "")
+        verify_help = _subparser(fresh, "verify").format_help()
+        assert run(capsys, "verify", "--help") == (0, verify_help, "")
+        helps.append(fresh.format_help())
+    assert helps[0] != helps[1]
+
+
+def test_build_parser_returns_a_new_parser_each_call():
+    assert build_parser() is not build_parser()
+
+
+def test_main_builds_no_parser_after_its_first_call(capsys, monkeypatch):
+    argv = ["verify", "--identity", "e4", "--n-max", "3"]
+    assert run(capsys, *argv)[0] == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for _ in range(5):
+        assert run(capsys, *argv)[0] == 0
+    assert built == []

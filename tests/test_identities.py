@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jacobsthal3 import identities
+from jacobsthal3 import identities, sequences
 from jacobsthal3.identities import (
     IdentityId,
     MAX_FAILURE_WITNESSES,
@@ -21,6 +21,7 @@ from jacobsthal3.sequences import (
     SequenceParams,
     companions,
     term,
+    term_range,
     u_value,
 )
 
@@ -183,6 +184,51 @@ def test_verify_range_rejects_non_int_bounds(n_max, r_max, message):
     # True would sweep n <= 1 or clip at r = 1, and 3.0 would reach range()
     with pytest.raises(TypeError, match=message):
         verify_range(IdentityId.CATALAN_J, n_max=n_max, r_max=r_max)
+
+
+@pytest.mark.parametrize("identity", [IdentityId.E4, IdentityId.CASSINI_J, IdentityId.CATALAN_J])
+@pytest.mark.parametrize(
+    "r_max, error, message",
+    [
+        (-5, ValueError, "must be nonnegative, got -5"),
+        (True, TypeError, "must be an int, got bool"),
+        (3.0, TypeError, "must be an int, got float"),
+        ("x", TypeError, "must be an int, got str"),
+    ],
+)
+def test_verify_range_checks_r_max_for_every_entry(identity, r_max, error, message):
+    # entries without an r grid ignore r_max, but a bad one still raises
+    with pytest.raises(error, match=f"^r_max for {identity.value} {message}$"):
+        verify_range(identity, n_max=3, r_max=r_max)
+
+
+def test_entries_without_an_r_grid_ignore_a_valid_r_max():
+    for identity in (IdentityId.E4, IdentityId.CASSINI_J):
+        assert verify_range(identity, n_max=3, r_max=0) == verify_range(identity, n_max=3)
+
+
+def test_e10_reads_its_running_sum():
+    sums = sequences._scaled_prefix_sums(JACOBSTHAL, 20)
+    corrupted = list(sums)
+    corrupted[10] += 1
+    object.__setattr__(JACOBSTHAL, "_prefix_sums", tuple(corrupted))
+    try:
+        report = verify_range(IdentityId.E10, n_max=20)
+    finally:
+        object.__setattr__(JACOBSTHAL, "_prefix_sums", sums)
+    assert (report.total, report.failed) == (21, 1)
+    assert report.failures[0].n == 10
+    assert report.failures[0].lhs == sum(term_range(JACOBSTHAL, 0, 10)) + 1
+
+
+def test_running_sum_matches_the_prefix_as_both_grow():
+    params = SequenceParams(Fraction(1, 2), -3, Fraction(7, 5))
+    for n in (0, 2, 3, 40, 41, 200):
+        sums = sequences._scaled_prefix_sums(params, n)
+        prefix, scale = sequences._scaled_prefix(params, n)
+        assert len(sums) >= n + 1
+        assert Fraction(sums[n], scale) == sum(term_range(params, 0, n))
+        assert list(sums) == [sum(prefix[: k + 1]) for k in range(len(sums))]
 
 
 def test_verify_range_bound_below_min_n():
