@@ -14,10 +14,11 @@ denominators) through sequences._scaled_prefix, over D**2 for the Catalan
 forms and D**4 for the Gelin-Cesaro forms; the J / jL seeds are ints, so
 their D is 1.  e10's LHS reads the prefix's running sum, kept next to it
 (sequences._scaled_prefix_sums), so each instance costs one lookup.  Each
-general-seed RHS reads SequenceParams._rhs_ints, the seed constants scaled
-to ints by their own lcm, never the prefix.  The
-RHSs that need an oracle value (e5, e7, e10, e12 and the X(n)**2 of the
-Gelin-Cesaro forms) still read it through term.
+general-seed RHS takes its seed constants from SequenceParams._rhs_ints,
+scaled to ints by their own lcm, never from the prefix.  The RHSs that
+need an oracle value (e5, e7, e12 and the X(n)**2 of the three
+Gelin-Cesaro forms) read it as a prefix int, like the LHSs; e10's RHS is
+the closed form sums.prefix_sum_closed.
 
 Catalog.  J = Jacobsthal numbers (seeds 0, 1, 1), jL = Jacobsthal-Lucas
 numbers (seeds 2, 1, 5), X = arbitrary rational seeds (a, b, c); triples
@@ -72,9 +73,9 @@ from .sequences import (
     SequenceParams,
     V_ORDINARY,
     _check_index,
+    _check_int,
     _scaled_prefix,
     _scaled_prefix_sums,
-    term,
     u_value,
 )
 from .sums import prefix_sum_closed
@@ -143,12 +144,18 @@ def _gelin_ints(params: SequenceParams, n: int, mode: str) -> _Ratio:
         bracket, product = cases[n % 3], t[n % 3]
     else:
         raise ValueError(f"mode must be 'general' or 'cases', got {mode!r}")
-    num, den = term(params, n).as_integer_ratio()
-    square, square_den, d_2 = num * num, den * den, d * d
+    x, scale = _scaled_prefix(params, n)
+    square, square_den, d_2 = x[n] * x[n], scale * scale, d * d
     lin = rho * bracket << n - 2  # 2**(n-2) * rho * B
     t_1 = 2 * q + lin
     t_2 = q * q + lin * q - (3 * rho * rho * product << 2 * n - 3)
     return 7 * square * t_1 * d_2 - t_2 * square_den, 49 * d_2 * d_2 * square_den
+
+
+def _preset_terms(params: SequenceParams, last: int) -> tuple[int, ...]:
+    # J and jL have integer seeds: their prefix scale is 1, so the ints
+    # are the terms themselves
+    return _scaled_prefix(params, last)[0]
 
 
 def _catalan_j_rhs(n: int, r: int) -> _Ratio:
@@ -159,12 +166,10 @@ def _catalan_j_rhs(n: int, r: int) -> _Ratio:
 
 
 def _gelin_j_rhs(n: int) -> _Ratio:
-    num, den = term(JACOBSTHAL, n).as_integer_ratio()
+    j_n = _preset_terms(JACOBSTHAL, n)[n]
     p_lin = 1 << (n - 1)
     k, s = _GELIN_J_BRACKET[n % 3], _GELIN_J_SQUARE_COEFF[n % 3]
-    square_den = den * den
-    rhs = 7 * num * num * (2 + k * p_lin) - (1 + k * p_lin + (s << 2 * n - 1)) * square_den
-    return rhs, 49 * square_den
+    return 7 * j_n * j_n * (2 + k * p_lin) - (1 + k * p_lin + (s << 2 * n - 1)), 49
 
 
 # Per-identity evaluators returning ((L, dL), (R, dR)): the LHS as ints from
@@ -174,12 +179,6 @@ _EC5_TABLE = (1, -2, 1)
 _E8_TABLE = (1, -1, 0)
 
 
-def _preset_terms(params: SequenceParams, last: int) -> tuple[int, ...]:
-    # J and jL have integer seeds: their prefix scale is 1, so the ints
-    # are the terms themselves
-    return _scaled_prefix(params, last)[0]
-
-
 def _eval_e4(params, n, r):
     j, jl = _preset_terms(JACOBSTHAL, n), _preset_terms(JACOBSTHAL_LUCAS, n)
     return (3 * j[n] + jl[n], 1), (1 << n + 1, 1)
@@ -187,7 +186,7 @@ def _eval_e4(params, n, r):
 
 def _eval_e5(params, n, r):
     j, jl = _preset_terms(JACOBSTHAL, n), _preset_terms(JACOBSTHAL_LUCAS, n)
-    return (jl[n] - 3 * j[n], 1), (2 * term(JACOBSTHAL_LUCAS, n - 3)).as_integer_ratio()
+    return (jl[n] - 3 * j[n], 1), (2 * jl[n - 3], 1)
 
 
 def _eval_ec5(params, n, r):
@@ -201,8 +200,8 @@ def _eval_e6(params, n, r):
 
 
 def _eval_e7(params, n, r):
-    jl = _preset_terms(JACOBSTHAL_LUCAS, n + 1)
-    return (jl[n + 1] + jl[n], 1), (3 * term(JACOBSTHAL, n + 2)).as_integer_ratio()
+    j, jl = _preset_terms(JACOBSTHAL, n + 2), _preset_terms(JACOBSTHAL_LUCAS, n + 1)
+    return (jl[n + 1] + jl[n], 1), (3 * j[n + 2], 1)
 
 
 def _eval_e8(params, n, r):
@@ -221,8 +220,7 @@ def _eval_e10(params, n, r):
 
 def _eval_e12(params, n, r):
     j, jl = _preset_terms(JACOBSTHAL, n), _preset_terms(JACOBSTHAL_LUCAS, n)
-    rhs = term(JACOBSTHAL_LUCAS, n - 3) * (1 << n + 2)
-    return (jl[n] ** 2 - 9 * j[n] ** 2, 1), rhs.as_integer_ratio()
+    return (jl[n] ** 2 - 9 * j[n] ** 2, 1), (jl[n - 3] << n + 2, 1)
 
 
 def _eval_catalan_j(params, n, r):
@@ -438,12 +436,11 @@ def verify_range(
     >>> verify_range(IdentityId.CATALAN_J, n_max=3).total
     10
     """
+    _check_int(f"n_max for {identity.value}", n_max)
     if n_max < identity.min_n:
         raise ValueError(
             f"n_max for {identity.value} must be at least {identity.min_n}, got {n_max}"
         )
-    # after the range check, so every int n_max keeps its message above
-    _check_index(f"n_max for {identity.value}", n_max)
     if r_max is not None:
         _check_index(f"r_max for {identity.value}", r_max)
     effective = JACOBSTHAL if identity.fixed_seeds else params

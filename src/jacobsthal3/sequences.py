@@ -57,10 +57,11 @@ class SequenceParams:
 
     Each instance also keeps what is derived from its seeds: the oracle
     prefix X(0..N) of :func:`term` as ints scaled by the lcm of the seed
-    denominators and its running sum, both grown on demand, and, computed
-    on first use, rho, the seed form, the companion triples and their ints.  None of it is a
-    dataclass field, so equality, hash and repr see only (a, b, c), and all
-    of it lives exactly as long as the instance.
+    denominators and its running sum, both grown on demand, and the seed
+    constants, computed once on first use as ints (``_rhs_ints``), of
+    which rho, quartic and :func:`companions` are Fraction views.  None of
+    it is a dataclass field, so equality, hash and repr see only (a, b, c),
+    and all of it lives exactly as long as the instance.
     """
 
     a: Fraction
@@ -81,7 +82,7 @@ class SequenceParams:
     @cached_property
     def rho(self) -> Fraction:
         """a + b + c, the coefficient of 2**n in 7 * X(n)."""
-        return self.a + self.b + self.c
+        return Fraction(self._rhs_ints[1], self._rhs_ints[0])
 
     @cached_property
     def quartic(self) -> Fraction:
@@ -92,39 +93,33 @@ class SequenceParams:
         enters the fourth-power (Gelin-Cesaro) identity both linearly and
         squared.
         """
-        a, b, c = self.a, self.b, self.c
-        return 4 * a * a + 3 * b * b + c * c - 2 * a * c - 3 * b * c
+        return Fraction(self._rhs_ints[2], self._rhs_ints[0] ** 2)
 
     @cached_property
     def _companions(self) -> "CompanionSet":
-        a, b, c = self.a, self.b, self.c
-        v_gen = PeriodicTriple(c + b - 6 * a, 2 * c - 5 * b + 2 * a, -3 * c + 4 * b + 4 * a)
-        w_gen = PeriodicTriple(-3 * c + 5 * b + 2 * a, 2 * c - b - 6 * a, c - 4 * b + 4 * a)
-        t = PeriodicTriple(
-            w_gen.at1 * w_gen.at2,
-            w_gen.at2 * w_gen.at0,
-            w_gen.at0 * w_gen.at1,
+        d, _, _, v_gen, w_gen, t, _ = self._rhs_ints
+        return CompanionSet(
+            v_gen=PeriodicTriple(*(Fraction(v, d) for v in v_gen)),
+            w_gen=PeriodicTriple(*(Fraction(w, d) for w in w_gen)),
+            t=PeriodicTriple(*(Fraction(p, d * d) for p in t)),
         )
-        return CompanionSet(v_gen=v_gen, w_gen=w_gen, t=t)
 
     @cached_property
     def _rhs_ints(self) -> tuple:
         """(D, rho*D, quartic*D**2, v_gen*D, w_gen*D, t*D**2, cases*D) as ints.
 
-        D is the seeds' own lcm, never read from the oracle prefix; cases is
-        the Gelin-Cesaro residue-split bracket; triples go by n mod 3.  Each
-        value is an integer form in the seeds of its power of D's degree.
+        D is the seeds' own lcm, read from neither the oracle prefix nor its
+        scale; cases is the Gelin-Cesaro residue-split bracket; triples go
+        by n mod 3.  Each value is an integer form of its degree in D*seeds.
         """
         d = lcm(self.a.denominator, self.b.denominator, self.c.denominator)
-
-        def scaled(values, scale):
-            return tuple(v.numerator * (scale // v.denominator) for v in values)
-
-        a, b, c = scaled((self.a, self.b, self.c), d)
-        (rho,), (q,) = scaled((self.rho,), d), scaled((self.quartic,), d * d)
-        comp = companions(self)
+        a, b, c = (v.numerator * (d // v.denominator) for v in (self.a, self.b, self.c))
+        q = 4 * a * a + 3 * b * b + c * c - 2 * a * c - 3 * b * c
+        v_gen = (c + b - 6 * a, 2 * c - 5 * b + 2 * a, -3 * c + 4 * b + 4 * a)
+        w_0, w_1, w_2 = w_gen = (-3 * c + 5 * b + 2 * a, 2 * c - b - 6 * a, c - 4 * b + 4 * a)
+        t = (w_1 * w_2, w_2 * w_0, w_0 * w_1)
         cases = (-c - 10 * b + 24 * a, -11 * c + 23 * b - 2 * a, 12 * c - 13 * b - 22 * a)
-        return d, rho, q, scaled(comp.v_gen, d), scaled(comp.w_gen, d), scaled(comp.t, d * d), cases
+        return d, a + b + c, q, v_gen, w_gen, t, cases
 
     def __str__(self) -> str:
         return f"({self.a}, {self.b}, {self.c})"
@@ -204,6 +199,12 @@ def companions(params: SequenceParams) -> CompanionSet:
     return params._companions
 
 
+def _check_int(name: str, value: int) -> None:
+    """The type half of :func:`_check_index`, run first by bounds with their own range rule."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+
+
 def _check_index(name: str, value: int) -> None:
     """The one index rule: value is a nonnegative int, and bool is not an int.
 
@@ -211,8 +212,7 @@ def _check_index(name: str, value: int) -> None:
     float would reach a tuple index) and ValueError for a negative int; both
     messages start with name.
     """
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+    _check_int(name, value)
     if value < 0:
         raise ValueError(f"{name} must be nonnegative, got {value}")
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .eisenstein import RationalLike, _as_fraction
-from .sequences import SequenceParams
+from .sequences import SequenceParams, _check_int
 
 #: 1 - t - t**2 - 2*t**3, the denominator shared by every seed triple.
 RECURRENCE_DENOMINATOR = (1, -1, -1, -2)
@@ -34,6 +34,7 @@ def series_div(num: Sequence[RationalLike], den: Sequence[RationalLike], count: 
     >>> [str(x) for x in series_div([1], [1, -1], 4)]
     ['1', '1', '1', '1']
     """
+    _check_int("coefficient count", count)
     if count < 1:
         raise ValueError(f"coefficient count must be positive, got {count}")
     num = [_as_fraction(value) for value in num]

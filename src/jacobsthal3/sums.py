@@ -41,7 +41,7 @@ from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .eisenstein import OMEGA_POWERS, RationalLike, _as_fraction
-from .sequences import JACOBSTHAL, SequenceParams, _check_index, _fraction, _scaled_prefix, term
+from .sequences import JACOBSTHAL, SequenceParams, _check_index, _check_int, _fraction, _scaled_prefix, term
 
 
 class DegenerateStrideError(ValueError):
@@ -78,9 +78,9 @@ def sum_oracle(
     # check every index before reading any value: prefix[True] would
     # silently be X(1)
     for idx in index_list:
+        _check_int("term index n", idx)
         if idx < 0:
             raise ValueError(f"negative index {idx} in sum")
-        _check_index("term index n", idx)
     if not index_list:
         return Fraction(0)
     prefix, scale = _scaled_prefix(params, max(index_list))
@@ -164,15 +164,14 @@ class StridedSumContext:
     @classmethod
     @lru_cache(maxsize=256, typed=True)  # True == 1 and 2.0 == 2 must still miss
     def of(cls, m: int, r: int) -> "StridedSumContext":
+        _check_int("stride m", m)
+        _check_int("offset r", r)
         if m < 1:
             raise ValueError(f"stride m must be positive, got {m}")
         if r < m:
             raise ValueError(
                 f"offset r must be at least the stride (r >= m keeps index r - m nonnegative), got r={r}, m={m}"
             )
-        # after the range checks, so every int keeps its message above
-        _check_index("stride m", m)
-        _check_index("offset r", r)
         w1_m, w2_m = OMEGA_POWERS[m % 3]
         trace = (w1_m + w2_m).rational_part()
         two_m = 1 << m

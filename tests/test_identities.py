@@ -141,6 +141,18 @@ def test_lhs_reads_the_oracle_prefix_and_rhs_does_not():
     assert result.rhs == catalan_rhs(SequenceParams(*seeds), 10, 1)
 
 
+def test_seed_constants_read_neither_the_prefix_nor_its_scale():
+    seeds = (Fraction(1, 2), -3, Fraction(7, 5))
+    params, clean = SequenceParams(*seeds), SequenceParams(*seeds)
+    # before any constant is built: a scale that is no multiple of the seed
+    # denominators, and a prefix whose seeds are wrong
+    object.__setattr__(params, "_scale", params._scale + 1)
+    object.__setattr__(params, "_prefix", tuple(v + 1 for v in params._prefix))
+    assert catalan_rhs(params, 10, 1) == catalan_rhs(clean, 10, 1)
+    assert (params.rho, params.quartic) == (clean.rho, clean.quartic)
+    assert companions(params) == companions(clean)
+
+
 def test_cassini_is_catalan_at_r_one():
     for n in range(1, 30):
         cassini = check(IdentityId.CASSINI_J, n=n)
@@ -176,6 +188,8 @@ def test_verify_range_r_max_clips_grid():
     [
         (True, None, r"^n_max for catalan-j must be an int, got bool$"),
         (3.0, None, r"^n_max for catalan-j must be an int, got float$"),
+        ("x", None, r"^n_max for catalan-j must be an int, got str$"),
+        (None, None, r"^n_max for catalan-j must be an int, got NoneType$"),
         (5, True, r"^r_max for catalan-j must be an int, got bool$"),
         (5, 3.0, r"^r_max for catalan-j must be an int, got float$"),
     ],

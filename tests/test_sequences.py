@@ -23,10 +23,12 @@ from jacobsthal3.sequences import (
     term_range,
     u_value,
 )
+from jacobsthal3.series import gf_coefficients, series_div
 from jacobsthal3.sums import (
     StridedSumContext,
     prefix_sum_closed,
     strided_sum_closed,
+    sum_oracle,
     weighted_sum_charpoly_form,
     weighted_sum_closed,
 )
@@ -121,6 +123,29 @@ def test_quartic_and_rho():
     assert SequenceParams(1, 2, 3).rho == 6
 
 
+@pytest.mark.parametrize(
+    "seeds",
+    [
+        (Fraction(1, 2), Fraction(-3), Fraction(7, 5)),
+        (Fraction(1, 13), Fraction(-1, 17), Fraction(5, 19)),
+    ],
+)
+def test_seed_constants_at_rational_seeds(seeds):
+    # the ints are divided by D or D**2; compare with the Fraction formulas
+    a, b, c = seeds
+    params = SequenceParams(*seeds)
+    assert params.rho == a + b + c
+    assert params.quartic == 4 * a * a + 3 * b * b + c * c - 2 * a * c - 3 * b * c
+    v = (c + b - 6 * a, 2 * c - 5 * b + 2 * a, -3 * c + 4 * b + 4 * a)
+    w = (-3 * c + 5 * b + 2 * a, 2 * c - b - 6 * a, c - 4 * b + 4 * a)
+    comp = companions(params)
+    assert tuple(comp.v_gen) == v
+    assert tuple(comp.w_gen) == w
+    assert tuple(comp.t) == (w[1] * w[2], w[2] * w[0], w[0] * w[1])
+    for value in (params.rho, params.quartic, *comp.v_gen, *comp.w_gen, *comp.t):
+        assert type(value) is Fraction
+
+
 def test_seed_coercion():
     params = SequenceParams("1/2", -3, Fraction(7, 5))
     assert params.a == Fraction(1, 2)
@@ -207,10 +232,15 @@ INDEX_ARGUMENTS = {
     "strided_sum_closed n": ("sum length n", lambda i: strided_sum_closed(RATIONAL, 1, 1, i)),
     "StridedSumContext.of m": ("stride m", lambda i: StridedSumContext.of(i, 2)),
     "StridedSumContext.of r": ("offset r", lambda i: StridedSumContext.of(1, i)),
+    "sum_oracle index": ("term index n", lambda i: sum_oracle(RATIONAL, [0, i])),
+    "series_div count": ("coefficient count", lambda i: series_div([1], [1, -1], i)),
+    "gf_coefficients count": ("coefficient count", lambda i: gf_coefficients(RATIONAL, i)),
 }
 
 
-@pytest.mark.parametrize("index", [True, 2.0], ids=["bool", "float"])
+@pytest.mark.parametrize(
+    "index", [True, 2.0, "x", None], ids=["bool", "float", "str", "none"]
+)
 @pytest.mark.parametrize("argument", list(INDEX_ARGUMENTS))
 def test_closed_forms_reject_bool_and_float_indices(argument, index):
     # True would be evaluated as 1 and 2.0 would reach a tuple index

@@ -59,7 +59,7 @@ def test_sum_oracle_validation():
     [
         (True, TypeError, r"^term index n must be an int, got bool$"),
         (1.0, TypeError, r"^term index n must be an int, got float$"),
-        ("1", TypeError, r"not supported between instances of 'str' and 'int'"),
+        ("1", TypeError, r"^term index n must be an int, got str$"),
         (-1, ValueError, r"^negative index -1 in sum$"),
     ],
 )
