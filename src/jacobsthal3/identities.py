@@ -13,9 +13,11 @@ Each LHS reads the oracle's integer prefix X(k)*D (D the lcm of the seed
 denominators) through sequences._scaled_prefix, over D**2 for the Catalan
 forms and D**4 for the Gelin-Cesaro forms; the J / jL seeds are ints, so
 their D is 1.  e10's LHS reads the prefix's running sum, kept next to it
-(sequences._scaled_prefix_sums), so each instance costs one lookup.  Each
-general-seed RHS takes its seed constants from SequenceParams._rhs_ints,
-scaled to ints by their own lcm, never from the prefix.  The RHSs that
+(sequences._scaled_prefix_sums), so each instance costs one lookup.  The
+Catalan and Gelin-Cesaro RHSs read their seed constants, never the prefix,
+in the int layout of SequenceParams._rhs_ints: general seeds their own,
+the J entries J's printed constants _J_CONSTANTS, so these check the
+paper's J-specific numbers, not the general ones at (0, 1, 1).  The RHSs that
 need an oracle value (e5, e7, e12 and the X(n)**2 of the three
 Gelin-Cesaro forms) read it as a prefix int, like the LHSs; e10's RHS is
 the closed form sums.prefix_sum_closed.
@@ -51,12 +53,12 @@ and its evaluator.  :func:`check` and :func:`verify_range` read nothing
 else.  The domain is coded once: ``_r_values`` gives the r an instance at
 n takes under its rule, :func:`check` accepts exactly those r and
 :func:`verify_range` walks exactly those, and the rule's value is the
-phrase that check's error message prints.  The two Cassini entries are
-the r = 1 specializations of the Catalan forms; they share the Catalan
-evaluators and differ only in their r rule.  The general-seed Catalan
-and Gelin-Cesaro evaluators take their RHS from the same int forms that
-the public :func:`catalan_rhs` and :func:`gelin_cesaro_rhs` reduce to a
-Fraction, so each printed form is coded once.
+phrase that check's error message prints; :func:`catalan_rhs` and
+:func:`gelin_cesaro_rhs` take the domains of catalan-gen and
+gelin-cesaro-gen from that same check.  The Cassini entries are the r = 1
+specializations of the Catalan forms.  Each printed form is coded once:
+one Catalan and one Gelin-Cesaro int form, each with one LHS, run alike
+by the J entries, the general-seed entries and the public RHS functions.
 """
 
 from __future__ import annotations
@@ -87,6 +89,13 @@ _Ratio = tuple[int, int]
 _U_SQUARES = tuple(int(u_value(r)) ** 2 for r in range(3))
 _V_J = tuple(int(v) for v in V_ORDINARY)
 
+#: J's printed constants in the _rhs_ints layout: D, rho, seed form, V, no W
+#: (the J entries run the "cases" Gelin-Cesaro form), the product triple
+#: t(n) = W(n+1)*W(n+2) and the residue-split bracket, by n mod 3.
+_GELIN_J_PRODUCT = (-3, -6, 2)
+_GELIN_J_BRACKET = (-11, 12, -1)
+_J_CONSTANTS = (1, 2, 1, _V_J, None, _GELIN_J_PRODUCT, _GELIN_J_BRACKET)
+
 
 def catalan_rhs(params: SequenceParams, n: int, r: int) -> Fraction:
     """Closed form of X(n)**2 - X(n-r)*X(n+r) for arbitrary seeds.
@@ -97,23 +106,17 @@ def catalan_rhs(params: SequenceParams, n: int, r: int) -> Fraction:
     At r = 0 both the bracket and U vanish, matching the trivial LHS.
     """
     _check_index("identity index n", n)
-    _check_index("identity index r", r)
-    if r > n:
-        raise ValueError(f"catalan closed form needs 0 <= r <= n, got n={n}, r={r}")
-    return Fraction(*_catalan_ints(params, n, r))
+    _check_index("identity index r", r)  # r = None is a missing argument here
+    _instance_r(IdentityId.CATALAN_GEN, n, r)
+    return Fraction(*_catalan_ints(params._rhs_ints, n, r))
 
 
-def _catalan_ints(params: SequenceParams, n: int, r: int) -> _Ratio:
-    # catalan_rhs times 49 * 2**r * D**2
-    d, rho, q, v, *_ = params._rhs_ints
+def _catalan_ints(constants: tuple, n: int, r: int) -> _Ratio:
+    # catalan_rhs times 49 * 2**r * D**2, from constants in the _rhs_ints layout
+    d, rho, q, v, _, _, _ = constants
     bracket = (v[(n - r) % 3] << 2 * r) - (v[n % 3] << r + 1) + v[(n + r) % 3]
     return (rho * bracket << n) + (7 * q * _U_SQUARES[r % 3] << r), 49 * d * d << r
 
-
-#: Residue-split constants of the J-specific fourth-power identity:
-#: the linear bracket and the coefficient of 2**(2n-1), by n mod 3.
-_GELIN_J_BRACKET = (-11, 12, -1)
-_GELIN_J_SQUARE_COEFF = (9, 18, -6)
 
 def gelin_cesaro_rhs(params: SequenceParams, n: int, mode: str = "general") -> Fraction:
     """Closed form of X(n)**4 - X(n-2)*X(n-1)*X(n+1)*X(n+2), n >= 2.
@@ -128,15 +131,13 @@ def gelin_cesaro_rhs(params: SequenceParams, n: int, mode: str = "general") -> F
     bracket constants and the product triple t(n) = W(n+1)*W(n+2); both
     modes must agree with each other and with the oracle LHS.
     """
-    _check_index("identity index n", n)
-    if n < 2:
-        raise ValueError(f"fourth-power closed form needs n >= 2, got {n}")
-    return Fraction(*_gelin_ints(params, n, mode))
+    _instance_r(IdentityId.GELIN_CESARO_GEN, n, None)
+    return Fraction(*_gelin_ints(params._rhs_ints, params, n, mode))
 
 
-def _gelin_ints(params: SequenceParams, n: int, mode: str) -> _Ratio:
-    # gelin_cesaro_rhs times 49 * D**4 * N_den, where X(n)**2 = N / N_den
-    d, rho, q, _, w, t, cases = params._rhs_ints
+def _gelin_ints(constants: tuple, params: SequenceParams, n: int, mode: str) -> _Ratio:
+    # gelin_cesaro_rhs times 49 * D**4 * N_den; X(n)**2 = N / N_den from the prefix
+    d, rho, q, _, w, t, cases = constants
     if mode == "general":
         w_1, w_2 = w[(n + 1) % 3], w[(n + 2) % 3]
         bracket, product = 3 * w_2 - 2 * w_1, w_1 * w_2
@@ -156,20 +157,6 @@ def _preset_terms(params: SequenceParams, last: int) -> tuple[int, ...]:
     # J and jL have integer seeds: their prefix scale is 1, so the ints
     # are the terms themselves
     return _scaled_prefix(params, last)[0]
-
-
-def _catalan_j_rhs(n: int, r: int) -> _Ratio:
-    # J-specific shape: 2**(n+1) replaces 2**n * rho and the seed form is 1.
-    v = _V_J
-    bracket = (v[(n - r) % 3] << 2 * r) - (v[n % 3] << r + 1) + v[(n + r) % 3]
-    return (bracket << n + 1) + (7 * _U_SQUARES[r % 3] << r), 49 << r
-
-
-def _gelin_j_rhs(n: int) -> _Ratio:
-    j_n = _preset_terms(JACOBSTHAL, n)[n]
-    p_lin = 1 << (n - 1)
-    k, s = _GELIN_J_BRACKET[n % 3], _GELIN_J_SQUARE_COEFF[n % 3]
-    return 7 * j_n * j_n * (2 + k * p_lin) - (1 + k * p_lin + (s << 2 * n - 1)), 49
 
 
 # Per-identity evaluators returning ((L, dL), (R, dR)): the LHS as ints from
@@ -223,19 +210,9 @@ def _eval_e12(params, n, r):
     return (jl[n] ** 2 - 9 * j[n] ** 2, 1), (jl[n - 3] << n + 2, 1)
 
 
-def _eval_catalan_j(params, n, r):
-    j = _preset_terms(JACOBSTHAL, n + r)
-    return (j[n] ** 2 - j[n - r] * j[n + r], 1), _catalan_j_rhs(n, r)
-
-
-def _eval_gelin_j(params, n, r):
-    j = _preset_terms(JACOBSTHAL, n + 2)
-    return (j[n] ** 4 - j[n - 2] * j[n - 1] * j[n + 1] * j[n + 2], 1), _gelin_j_rhs(n)
-
-
-def _eval_catalan_gen(params, n, r):
+def _catalan_lhs(params, n, r):
     x, scale = _scaled_prefix(params, n + r)
-    return (x[n] ** 2 - x[n - r] * x[n + r], scale * scale), _catalan_ints(params, n, r)
+    return x[n] * x[n] - x[n - r] * x[n + r], scale * scale
 
 
 def _gelin_lhs(params, n):
@@ -243,12 +220,24 @@ def _gelin_lhs(params, n):
     return x[n] ** 4 - x[n - 2] * x[n - 1] * x[n + 1] * x[n + 2], scale**4
 
 
+def _eval_catalan_j(params, n, r):
+    return _catalan_lhs(params, n, r), _catalan_ints(_J_CONSTANTS, n, r)
+
+
+def _eval_gelin_j(params, n, r):
+    return _gelin_lhs(params, n), _gelin_ints(_J_CONSTANTS, params, n, "cases")
+
+
+def _eval_catalan_gen(params, n, r):
+    return _catalan_lhs(params, n, r), _catalan_ints(params._rhs_ints, n, r)
+
+
 def _eval_gelin_gen(params, n, r):
-    return _gelin_lhs(params, n), _gelin_ints(params, n, "general")
+    return _gelin_lhs(params, n), _gelin_ints(params._rhs_ints, params, n, "general")
 
 
 def _eval_gelin_cases(params, n, r):
-    return _gelin_lhs(params, n), _gelin_ints(params, n, "cases")
+    return _gelin_lhs(params, n), _gelin_ints(params._rhs_ints, params, n, "cases")
 
 
 _Evaluator = Callable[[SequenceParams, int, Optional[int]], tuple[_Ratio, _Ratio]]
@@ -384,19 +373,25 @@ def check(
     >>> check(IdentityId.E4, n=5).equal
     True
     """
+    r = _instance_r(identity, n, r)
+    effective = JACOBSTHAL if identity.fixed_seeds else params
+    lhs, lhs_den, rhs, rhs_den = _sides(identity, effective, n, r)
+    return CheckResult(identity, effective, n, r, Fraction(lhs, lhs_den), Fraction(rhs, rhs_den))
+
+
+def _instance_r(identity: IdentityId, n: int, r: Optional[int]) -> Optional[int]:
+    """The domain check that :func:`check` states; returns r, filled in where fixed."""
+    rule = identity._r_rule
     _check_index("identity index n", n)
     if r is not None:
         _check_index("identity index r", r)
-    rule = identity._r_rule
-    if rule is _RRule.ONE and r is None:
+    elif rule is _RRule.ONE:
         r = 1
     if n < identity.min_n or r not in _r_values(rule, n, None):
         raise ValueError(
             f"{identity.value} takes n >= {identity.min_n} and {rule.value}, got n={n}, r={r}"
         )
-    effective = JACOBSTHAL if identity.fixed_seeds else params
-    lhs, lhs_den, rhs, rhs_den = _sides(identity, effective, n, r)
-    return CheckResult(identity, effective, n, r, Fraction(lhs, lhs_den), Fraction(rhs, rhs_den))
+    return r
 
 
 def _sides(identity: IdentityId, params: SequenceParams, n: int, r: Optional[int]) -> tuple:
@@ -411,9 +406,8 @@ def _instances(
     identity: IdentityId, n_max: int, r_max: Optional[int]
 ) -> Iterator[tuple[int, Optional[int]]]:
     """The legal (n, r) of identity up to the bounds, in (n, r) order."""
-    rule = identity._r_rule
     for n in range(identity.min_n, n_max + 1):
-        for r in _r_values(rule, n, r_max):
+        for r in _r_values(identity._r_rule, n, r_max):
             yield n, r
 
 

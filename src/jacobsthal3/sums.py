@@ -162,10 +162,15 @@ class StridedSumContext:
     sigma: Fraction
 
     @classmethod
-    @lru_cache(maxsize=256, typed=True)  # True == 1 and 2.0 == 2 must still miss
     def of(cls, m: int, r: int) -> "StridedSumContext":
+        # types first: the cache hashes its keys, and True == 1, 2.0 == 2
         _check_int("stride m", m)
         _check_int("offset r", r)
+        return cls._of(m, r)
+
+    @classmethod
+    @lru_cache(maxsize=256)
+    def _of(cls, m: int, r: int) -> "StridedSumContext":
         if m < 1:
             raise ValueError(f"stride m must be positive, got {m}")
         if r < m:

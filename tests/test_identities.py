@@ -67,9 +67,11 @@ def test_catalan_rhs_examples():
 
 
 def test_catalan_rhs_domain():
-    with pytest.raises(ValueError):
+    with pytest.raises(
+        ValueError, match=r"^catalan-gen takes n >= 0 and 0 <= r <= n, got n=3, r=4$"
+    ):
         catalan_rhs(JACOBSTHAL, 3, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^identity index r must be nonnegative, got -1$"):
         catalan_rhs(JACOBSTHAL, 3, -1)
 
 
@@ -83,9 +85,11 @@ def test_gelin_rhs_examples():
 
 
 def test_gelin_rhs_domain():
-    with pytest.raises(ValueError):
+    with pytest.raises(
+        ValueError, match=r"^gelin-cesaro-gen takes n >= 2 and no r, got n=1, r=None$"
+    ):
         gelin_cesaro_rhs(JACOBSTHAL, 1, "general")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^mode must be 'general' or 'cases', got 'nonsense'$"):
         gelin_cesaro_rhs(JACOBSTHAL, 4, "nonsense")
 
 
@@ -288,6 +292,58 @@ def test_general_gelin_matches_fixed_case_table_on_jacobsthal():
         assert gelin_cesaro_rhs(JACOBSTHAL, n, "general") == check(
             IdentityId.GELIN_CESARO_J, n=n
         ).rhs
+
+
+#: The slots of identities._J_CONSTANTS (the _rhs_ints layout) that the J
+#: entries read, and the entries reading each: D, rho, the seed form, V, the
+#: product triple t and the Gelin-Cesaro bracket.  Slot 4 (W) is unread.
+J_SLOT_READERS = {
+    0: (IdentityId.CATALAN_J, IdentityId.GELIN_CESARO_J),
+    1: (IdentityId.CATALAN_J, IdentityId.GELIN_CESARO_J),
+    2: (IdentityId.CATALAN_J, IdentityId.GELIN_CESARO_J),
+    3: (IdentityId.CATALAN_J,),
+    5: (IdentityId.GELIN_CESARO_J,),
+    6: (IdentityId.GELIN_CESARO_J,),
+}
+
+
+def test_j_constants_equal_those_derived_from_the_j_seeds():
+    derived = JACOBSTHAL._rhs_ints
+    assert len(identities._J_CONSTANTS) == len(derived)
+    for slot in J_SLOT_READERS:
+        assert identities._J_CONSTANTS[slot] == derived[slot], slot
+    assert identities._J_CONSTANTS[4] is None  # no typed value that nothing reads
+
+
+J_INT_MUTATIONS = [
+    (slot, index, delta)
+    for slot in J_SLOT_READERS
+    for index in ((None,) if slot < 3 else range(3))
+    for delta in (1, -1)
+]
+
+
+@pytest.mark.parametrize(
+    "slot, index, delta",
+    J_INT_MUTATIONS,
+    ids=[
+        f"{('D', 'rho', 'q', 'V', 'W', 't', 'bracket')[slot]}{'' if i is None else f'[{i}]'}{d:+d}"
+        for slot, i, d in J_INT_MUTATIONS
+    ],
+)
+def test_every_typed_j_int_is_load_bearing(slot, index, delta, monkeypatch):
+    constants = list(identities._J_CONSTANTS)
+    if index is None:
+        constants[slot] += delta
+    else:
+        constants[slot] = tuple(v + delta * (k == index) for k, v in enumerate(constants[slot]))
+    monkeypatch.setattr(identities, "_J_CONSTANTS", tuple(constants))
+    for identity in J_SLOT_READERS[slot]:
+        if constants[0] == 0:  # D = 0 zeroes the RHS denominator, which the sweep refuses
+            with pytest.raises(ArithmeticError, match="denominators must be positive"):
+                verify_range(identity, n_max=9)
+        else:
+            assert verify_range(identity, n_max=9).failed > 0, identity
 
 
 @settings(max_examples=30, deadline=None)

@@ -173,7 +173,7 @@ def test_strided_constants_use_no_powers_in_q_w(monkeypatch):
         raise AssertionError("StridedSumContext.of powered an Eisenstein value")
 
     monkeypatch.setattr(Eisenstein, "__pow__", refused)
-    StridedSumContext.of.cache_clear()  # a cached context would skip the body
+    StridedSumContext._of.cache_clear()  # a cached context would skip the body
     for m in range(1, 13):
         StridedSumContext.of(m, m + 5)
 
@@ -186,6 +186,19 @@ def test_strided_context_cache_keys_on_argument_types():
         with pytest.raises(TypeError):
             StridedSumContext.of(m, r)
     assert StridedSumContext.of(5, 9) is StridedSumContext.of(5, 9)
+
+
+@pytest.mark.parametrize(
+    "m, r, message",
+    [([1], 2, "^stride m must be an int, got list$"), (2, [3], "^offset r must be an int, got list$")],
+    ids=["m-list", "r-list"],
+)
+def test_strided_context_checks_types_before_the_cache_hashes_them(m, r, message):
+    # an unhashable index must get the index message, not the cache's own TypeError
+    with pytest.raises(TypeError, match=message):
+        StridedSumContext.of(m, r)
+    with pytest.raises(TypeError, match=message):
+        strided_sum_closed(JACOBSTHAL, m, r, 1)
 
 
 def test_strided_context_validation():
