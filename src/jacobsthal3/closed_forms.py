@@ -5,7 +5,8 @@ Both must reproduce the iterative oracle exactly, term by term:
 * the Binet form  X(n) = A*2**n - B*w1**n + C*w2**n  with A rational and
   B, C in Q(w), solved from the seeds at n = 0, 1, 2;
 * the decomposition  X(n) = (rho*2**n - V(n)) / 7  with V the period-3
-  remainder triple.
+  remainder triple, rho and V read as ints times D (the lcm of the seed
+  denominators) from SequenceParams._rhs_ints, with one division by 7*D.
 
 The Binet evaluation runs entirely in Q(w) and asserts, on every call,
 that the w-part cancels; a nonzero residue raises instead of being rounded
@@ -22,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .eisenstein import OMEGA1, OMEGA2, OMEGA_POWERS, Eisenstein
-from .sequences import SequenceParams, _check_index, companions
+from .sequences import SequenceParams, _check_index
 
 _TWO = Eisenstein(2)
 
@@ -76,5 +77,5 @@ def binet_term(params: SequenceParams, n: int) -> Fraction:
 def decomposed_term(params: SequenceParams, n: int) -> Fraction:
     """Evaluate (rho*2**n - V(n)) / 7 with V the period-3 remainder triple."""
     _check_index("term index n", n)
-    remainder = companions(params).v_gen.at(n)
-    return (params.rho * (1 << n) - remainder) / 7
+    d, rho, _, v_gen, _, _, _ = params._rhs_ints
+    return Fraction((rho << n) - v_gen[n % 3], 7 * d)

@@ -105,7 +105,6 @@ def catalan_rhs(params: SequenceParams, n: int, r: int) -> Fraction:
     with V = v_gen of the seeds, evaluated on ints over 49 * 2**r * D**2.
     At r = 0 both the bracket and U vanish, matching the trivial LHS.
     """
-    _check_index("identity index n", n)
     _check_index("identity index r", r)  # r = None is a missing argument here
     _instance_r(IdentityId.CATALAN_GEN, n, r)
     return Fraction(*_catalan_ints(params._rhs_ints, n, r))
@@ -153,51 +152,46 @@ def _gelin_ints(constants: tuple, params: SequenceParams, n: int, mode: str) -> 
     return 7 * square * t_1 * d_2 - t_2 * square_den, 49 * d_2 * d_2 * square_den
 
 
-def _preset_terms(params: SequenceParams, last: int) -> tuple[int, ...]:
-    # J and jL have integer seeds: their prefix scale is 1, so the ints
-    # are the terms themselves
-    return _scaled_prefix(params, last)[0]
-
-
 # Per-identity evaluators returning ((L, dL), (R, dR)): the LHS as ints from
-# the oracle prefix, the RHS as ints from the closed form under test.
+# the oracle prefix, the RHS as ints from the closed form under test.  J and
+# jL have integer seeds: their prefix scale is 1, so the ints are the terms.
 
 _EC5_TABLE = (1, -2, 1)
 _E8_TABLE = (1, -1, 0)
 
 
 def _eval_e4(params, n, r):
-    j, jl = _preset_terms(JACOBSTHAL, n), _preset_terms(JACOBSTHAL_LUCAS, n)
+    j, jl = _scaled_prefix(JACOBSTHAL, n)[0], _scaled_prefix(JACOBSTHAL_LUCAS, n)[0]
     return (3 * j[n] + jl[n], 1), (1 << n + 1, 1)
 
 
 def _eval_e5(params, n, r):
-    j, jl = _preset_terms(JACOBSTHAL, n), _preset_terms(JACOBSTHAL_LUCAS, n)
+    j, jl = _scaled_prefix(JACOBSTHAL, n)[0], _scaled_prefix(JACOBSTHAL_LUCAS, n)[0]
     return (jl[n] - 3 * j[n], 1), (2 * jl[n - 3], 1)
 
 
 def _eval_ec5(params, n, r):
-    j = _preset_terms(JACOBSTHAL, n + 2)
+    j = _scaled_prefix(JACOBSTHAL, n + 2)[0]
     return (j[n + 2] - 4 * j[n], 1), (_EC5_TABLE[n % 3], 1)
 
 
 def _eval_e6(params, n, r):
-    j, jl = _preset_terms(JACOBSTHAL, n), _preset_terms(JACOBSTHAL_LUCAS, n)
+    j, jl = _scaled_prefix(JACOBSTHAL, n)[0], _scaled_prefix(JACOBSTHAL_LUCAS, n)[0]
     return (jl[n] - 4 * j[n], 1), (_V_J[n % 3], 1)
 
 
 def _eval_e7(params, n, r):
-    j, jl = _preset_terms(JACOBSTHAL, n + 2), _preset_terms(JACOBSTHAL_LUCAS, n + 1)
+    j, jl = _scaled_prefix(JACOBSTHAL, n + 2)[0], _scaled_prefix(JACOBSTHAL_LUCAS, n + 1)[0]
     return (jl[n + 1] + jl[n], 1), (3 * j[n + 2], 1)
 
 
 def _eval_e8(params, n, r):
-    j, jl = _preset_terms(JACOBSTHAL, n + 2), _preset_terms(JACOBSTHAL_LUCAS, n)
+    j, jl = _scaled_prefix(JACOBSTHAL, n + 2)[0], _scaled_prefix(JACOBSTHAL_LUCAS, n)[0]
     return (jl[n] - j[n + 2], 1), (_E8_TABLE[n % 3], 1)
 
 
 def _eval_e9(params, n, r):
-    j, jl = _preset_terms(JACOBSTHAL, n), _preset_terms(JACOBSTHAL_LUCAS, n)
+    j, jl = _scaled_prefix(JACOBSTHAL, n)[0], _scaled_prefix(JACOBSTHAL_LUCAS, n)[0]
     return (jl[n - 3] ** 2 + 3 * j[n] * jl[n], 1), (1 << 2 * n, 1)
 
 
@@ -206,7 +200,7 @@ def _eval_e10(params, n, r):
 
 
 def _eval_e12(params, n, r):
-    j, jl = _preset_terms(JACOBSTHAL, n), _preset_terms(JACOBSTHAL_LUCAS, n)
+    j, jl = _scaled_prefix(JACOBSTHAL, n)[0], _scaled_prefix(JACOBSTHAL_LUCAS, n)[0]
     return (jl[n] ** 2 - 9 * j[n] ** 2, 1), (jl[n - 3] << n + 2, 1)
 
 

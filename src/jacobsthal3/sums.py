@@ -21,15 +21,19 @@ The strided closed form divides by sigma(m) = 2**(m+1) +
 closed form is provided and DegenerateStrideError directs callers to the
 oracle.  The trace is read from the table of root powers by m mod 3 and
 is still taken through Eisenstein.rational_part(), so a w-part that failed
-to cancel would raise on each miss of the bounded cache, keyed on (m, r)
-and their types, that memoises StridedSumContext.of.
+to cancel would raise on each miss of the bounded cache behind
+StridedSumContext.of, which checks that m and r are ints first.
 
-sum_oracle reads the oracle's scaled integer prefix once, up to its
-largest index, sums ints from it and divides once; its values never come
-from a closed form.  Weighted sums scale the weights by the lcm of their
-denominators first.  strided_sum_closed reads its seven terms from the
-same integer prefix: mu and sigma are integers, so the brace is an int and
-the one division is by sigma times the prefix scale.
+Every oracle term comes from the scaled integer prefix X(k)*D of
+sequences._scaled_prefix, read once per call, after every index has
+passed sequences._check_index.  sum_oracle sums ints from it and divides
+once; its values never come from a closed form.  Weighted sums scale the
+weights by the lcm of their denominators first.  prefix_sum_closed reads
+J(n+1) as J's prefix int (scale 1).  The weighted closed forms divide
+their X(n), X(n+1), X(n+2) part by D once; their seed polynomial reads
+a, b, c, so a wrong scale cannot cancel against sum_oracle.
+strided_sum_closed reads seven prefix terms: mu and sigma are integers,
+so the brace is an int and the one division is by sigma times D.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .eisenstein import OMEGA_POWERS, RationalLike, _as_fraction
-from .sequences import JACOBSTHAL, SequenceParams, _check_index, _check_int, _fraction, _scaled_prefix, term
+from .sequences import JACOBSTHAL, SequenceParams, _check_index, _check_int, _fraction, _scaled_prefix
 
 
 class DegenerateStrideError(ValueError):
@@ -78,9 +82,7 @@ def sum_oracle(
     # check every index before reading any value: prefix[True] would
     # silently be X(1)
     for idx in index_list:
-        _check_int("term index n", idx)
-        if idx < 0:
-            raise ValueError(f"negative index {idx} in sum")
+        _check_index("term index n", idx)
     if not index_list:
         return Fraction(0)
     prefix, scale = _scaled_prefix(params, max(index_list))
@@ -101,16 +103,14 @@ def prefix_sum_closed(n: int) -> Fraction:
     """
     _check_index("prefix length n", n)
     correction = 1 if n % 3 == 0 else 0
-    return term(JACOBSTHAL, n + 1) - correction
+    return Fraction(_scaled_prefix(JACOBSTHAL, n + 1)[0][n + 1] - correction)
 
 
 def _weighted_numerator(params: SequenceParams, x: Fraction, n: int) -> Fraction:
     a, b, c = params.a, params.b, params.c
-    t_n = term(params, n)
-    t_n1 = term(params, n + 1)
-    t_n2 = term(params, n + 2)
+    y, scale = _scaled_prefix(params, n + 2)
     seed_poly = (c - b - a) - (a - b) * x + a * x * x
-    return 2 * t_n + (t_n2 - t_n1) * x + t_n1 * x * x - x ** (n + 1) * seed_poly
+    return (2 * y[n] + (y[n + 2] - y[n + 1]) * x + y[n + 1] * x * x) / scale - x ** (n + 1) * seed_poly
 
 
 def _check_weighted_domain(x: Fraction, n: int) -> None:

@@ -1,17 +1,32 @@
-"""What the package imports and exports.
+"""What the package imports and exports, and where its library reads values.
 
 It runs on the standard library alone (`dependencies = []`), no module
-imports a name it never uses, and `__all__` is derived from the imports.
+imports a name it never uses, `__all__` is derived from the imports, and
+no library module but the CLI reads the oracle through the public
+`term`, `term_range` or `companions` views.
 """
 
 import ast
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from types import ModuleType
 
 import jacobsthal3
+from jacobsthal3.closed_forms import decomposed_term
+from jacobsthal3.identities import IdentityId, verify_range
+from jacobsthal3.sequences import SequenceParams
+from jacobsthal3.sums import (
+    prefix_sum_closed,
+    strided_sum_closed,
+    sum_oracle,
+    weighted_sum_charpoly_form,
+    weighted_sum_closed,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 THIRD_PARTY = ("numpy", "sympy", "hypothesis", "pytest", "mpmath")
@@ -76,3 +91,29 @@ def test_all_is_every_public_name_of_the_package_sorted():
     exec("from jacobsthal3 import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == names
+
+
+def test_library_reads_neither_term_nor_term_range_nor_companions(monkeypatch):
+    # closed forms and sums read oracle values from the scaled prefix and
+    # seed constants from _rhs_ints; only the CLI takes the public views
+    def unread(*args):
+        raise AssertionError("a library module read a public oracle view")
+
+    modules = [jacobsthal3] + [
+        importlib.import_module(f"jacobsthal3.{info.name}")
+        for info in pkgutil.iter_modules(jacobsthal3.__path__)
+        if info.name != "cli"
+    ]
+    for module in modules:
+        for name in ("term", "term_range", "companions"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, unread)
+    params = SequenceParams(Fraction(2, 3), Fraction(-5, 7), 4)
+    assert decomposed_term(params, 11) == Fraction(24320, 21)
+    weighted = weighted_sum_closed(params, Fraction(-3, 2), 8)
+    assert weighted == -weighted_sum_charpoly_form(params, Fraction(-3, 2), 8)
+    assert weighted == sum_oracle(params, range(9), [Fraction(-3, 2) ** -k for k in range(9)])
+    assert prefix_sum_closed(9) == 292
+    assert strided_sum_closed(params, 2, 3, 5) == sum_oracle(params, range(3, 14, 2))
+    for identity in IdentityId:
+        assert verify_range(identity, params, n_max=9).ok

@@ -60,7 +60,7 @@ def test_sum_oracle_validation():
         (True, TypeError, r"^term index n must be an int, got bool$"),
         (1.0, TypeError, r"^term index n must be an int, got float$"),
         ("1", TypeError, r"^term index n must be an int, got str$"),
-        (-1, ValueError, r"^negative index -1 in sum$"),
+        (-1, ValueError, r"^term index n must be nonnegative, got -1$"),
     ],
 )
 def test_sum_oracle_checks_every_index_before_reading(monkeypatch, index, error, message):
