@@ -74,6 +74,10 @@ INVOCATIONS: list[list[str]] = [
     ["sum", "--mode", "strided", "--m", "2", "--r", "1", "--n", "4"],
     ["sum", "--mode", "strided", "--n", "4"],
     ["sum", "--mode", "prefix", "--n", "-1"],
+    ["sum", "--mode", "strided", "--m", "6", "--r", "7", "--n", "4", "--format", "csv"],
+    ["sum", "--mode", "strided", "--m", "0", "--r", "1", "--n", "2"],
+    ["sum", "--mode", "weighted", "--x=3", "--n", "2", "--m", "2", "--r", "3"],
+    ["sum", "--mode", "prefix", "--n", "5", "--x=3", "--format", "csv"],
 ]
 
 
