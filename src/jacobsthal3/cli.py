@@ -8,6 +8,9 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error
 (the --output file cannot be written).  Output is deterministic: identical
 invocations produce byte-identical results.
 
+selftest's weighted sums and strided sums lines run the same pairing of
+closed form and oracle (_sum_pair) whose values sum prints.
+
 gen streams: it takes the first three terms of the range from the oracle
 and writes each line as soon as the next term is computed, keeping three
 terms in memory however many it writes.  Its usage errors are all raised
@@ -33,6 +36,7 @@ from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rou
 from fractions import Fraction
 from itertools import chain, islice, zip_longest
 from math import gcd, lcm
+from operator import eq
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .closed_forms import binet_term, decomposed_term
@@ -87,7 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--to", dest="stop", type=int, required=True, metavar="N",
                      help="last index, inclusive")
     gen.add_argument("--format", choices=("csv", "json", "bfile"), default="csv")
-    gen.add_argument("--output", metavar="PATH", help="write to PATH instead of stdout")
     gen.set_defaults(func=cmd_gen)
 
     verify = sub.add_parser("verify", help="sweep the identity catalog (JSON reports)")
@@ -99,7 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="largest n in the sweep (default 50)")
     verify.add_argument("--r-max", type=int, default=None, metavar="R",
                         help="clip r for Catalan sweeps (default: r <= n)")
-    verify.add_argument("--output", metavar="PATH", help="write to PATH instead of stdout")
     verify.set_defaults(func=cmd_verify)
 
     gf = sub.add_parser("gf", help="expand the generating function")
@@ -107,7 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     gf.add_argument("--terms", type=int, default=16, metavar="N",
                     help="number of coefficients to emit (default 16)")
     gf.add_argument("--format", choices=("csv", "json"), default="csv")
-    gf.add_argument("--output", metavar="PATH", help="write to PATH instead of stdout")
     gf.set_defaults(func=cmd_gf)
 
     sum_cmd = sub.add_parser("sum", help="evaluate a summation closed form vs the oracle")
@@ -120,12 +121,14 @@ def build_parser() -> argparse.ArgumentParser:
     sum_cmd.add_argument("--m", type=int, default=None, help="stride for --mode strided")
     sum_cmd.add_argument("--r", type=int, default=None, help="offset for --mode strided")
     sum_cmd.add_argument("--format", choices=("json", "csv"), default="json")
-    sum_cmd.add_argument("--output", metavar="PATH", help="write to PATH instead of stdout")
     sum_cmd.set_defaults(func=cmd_sum)
 
     selftest = sub.add_parser("selftest", help="run the full verification battery")
     selftest.set_defaults(func=cmd_selftest)
 
+    # last, so that --output ends each of these commands' usage and help
+    for command in (gen, verify, gf, sum_cmd):
+        command.add_argument("--output", metavar="PATH", help="write to PATH instead of stdout")
     return parser
 
 
@@ -260,6 +263,31 @@ def cmd_gf(args: argparse.Namespace) -> int:
     return 0 if matches else 1
 
 
+def _sum_pair(params: SequenceParams, mode: str, n: int, x: Optional[Fraction] = None,
+              m: Optional[int] = None, r: Optional[int] = None) -> tuple[Optional[Fraction], Fraction]:
+    """(closed form, oracle) of the mode's sum over k = 0..n, for sum and selftest.
+
+    The closed form is None when the stride m is divisible by 3.  Any other
+    ValueError from a closed form is a UsageError.  The oracle runs only
+    once the closed form has accepted its arguments, outside that mapping.
+    """
+    try:
+        if mode == "prefix":
+            closed = prefix_sum_closed(n)
+        elif mode == "weighted":
+            closed = weighted_sum_closed(params, x, n)
+        else:
+            closed = strided_sum_closed(params, m, r, n)
+    except DegenerateStrideError:
+        closed = None
+    except ValueError as exc:
+        raise UsageError(str(exc))
+    ks = range(n + 1)
+    if mode == "weighted":
+        return closed, sum_oracle(params, ks, [x ** (-k) for k in ks])
+    return closed, sum_oracle(params, [m * k + r for k in ks] if mode == "strided" else ks)
+
+
 def _sum_payload(args: argparse.Namespace) -> dict:
     params = _params(args)
     if args.n < 0:
@@ -269,34 +297,19 @@ def _sum_payload(args: argparse.Namespace) -> dict:
         "params": [str(params.a), str(params.b), str(params.c)],
         "n": args.n,
     }
-    if args.mode == "prefix":
-        if params != JACOBSTHAL:
-            raise UsageError("the prefix closed form is specific to seeds (0, 1, 1)")
-        closed = prefix_sum_closed(args.n)
-        oracle = sum_oracle(params, range(args.n + 1))
-    elif args.mode == "weighted":
+    if args.mode == "prefix" and params != JACOBSTHAL:
+        raise UsageError("the prefix closed form is specific to seeds (0, 1, 1)")
+    if args.mode == "weighted":
         if args.x is None:
             raise UsageError("--mode weighted requires --x")
         payload["x"] = str(args.x)
-        try:
-            closed = weighted_sum_closed(params, args.x, args.n)
-        except ValueError as exc:
-            raise UsageError(str(exc))
-        weights = [args.x ** (-k) for k in range(args.n + 1)]
-        oracle = sum_oracle(params, range(args.n + 1), weights)
-    else:
+    elif args.mode == "strided":
         if args.m is None or args.r is None:
             raise UsageError("--mode strided requires --m and --r")
-        payload["m"] = args.m
-        payload["r"] = args.r
-        try:
-            closed = strided_sum_closed(params, args.m, args.r, args.n)
-        except DegenerateStrideError:
-            closed = None
-            payload["warning"] = "sigma=0 for m divisible by 3"
-        except ValueError as exc:
-            raise UsageError(str(exc))
-        oracle = sum_oracle(params, [args.m * k + args.r for k in range(args.n + 1)])
+        payload.update(m=args.m, r=args.r)
+    closed, oracle = _sum_pair(params, args.mode, args.n, args.x, args.m, args.r)
+    if closed is None:
+        payload["warning"] = "sigma=0 for m divisible by 3"
     payload["closed_form"] = None if closed is None else str(closed)
     payload["oracle"] = str(oracle)
     payload["agree"] = None if closed is None else closed == oracle
@@ -343,14 +356,6 @@ def _battery_line(label: str, outcomes: Iterable[bool]) -> tuple[str, int, bool]
     return label, len(results), all(results)
 
 
-def _rejects_degenerate_stride(m: int) -> bool:
-    try:
-        strided_sum_closed(JACOBSTHAL, m, m, 1)
-    except DegenerateStrideError:
-        return True
-    return False
-
-
 def _selftest_checks():
     """Yield (label, total_instances, ok) tuples for the whole battery."""
     yield _battery_line("closed-form agreement", (
@@ -375,8 +380,7 @@ def _selftest_checks():
 
     xs = (Fraction(1), Fraction(-1), Fraction(3), Fraction(1, 2), Fraction(-2, 3), Fraction(5))
     yield _battery_line("weighted sums", (
-        weighted_sum_closed(seeds, x, n)
-        == sum_oracle(seeds, range(n + 1), [x ** (-k) for k in range(n + 1)])
+        eq(*_sum_pair(seeds, "weighted", n, x=x))
         for seeds in SELFTEST_SEEDS
         for x in xs
         for n in range(33)
@@ -384,14 +388,14 @@ def _selftest_checks():
 
     yield _battery_line("strided sums", chain(
         (
-            strided_sum_closed(seeds, m, r, n) == sum_oracle(seeds, [m * k + r for k in range(n + 1)])
+            eq(*_sum_pair(seeds, "strided", n, m=m, r=r))
             for seeds in SELFTEST_SEEDS[:3]
             for m in (1, 2, 4, 5)
             for r in range(m, m + 7)
             for n in range(25)
         ),
         (
-            StridedSumContext.of(m, m).sigma == 0 and _rejects_degenerate_stride(m)
+            StridedSumContext.of(m, m).sigma == 0 and _sum_pair(JACOBSTHAL, "strided", 1, m=m, r=m)[0] is None
             for m in (3, 6)
         ),
     ))

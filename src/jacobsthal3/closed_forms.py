@@ -43,7 +43,7 @@ class BinetCoefficients:
     C: Eisenstein
 
 
-@lru_cache(maxsize=None)
+@lru_cache
 def binet_coefficients(params: SequenceParams) -> BinetCoefficients:
     """Solve for A, B, C from the seeds at n = 0, 1, 2, exactly in Q(w).
 

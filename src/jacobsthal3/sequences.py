@@ -23,11 +23,14 @@ where V is periodic with period 3.  This module provides:
   V_ORDINARY, W_ORDINARY and the Catalan offset U_OFFSET.
 
 All values are immutable and all functions are pure.  Everything derived
-from a seed triple is kept on its :class:`SequenceParams` instance and
-lives exactly as long as that instance: the oracle prefix X(0..N) and its
-running sum, rho, the seed form and the companion triples.  The module
-presets JACOBSTHAL and JACOBSTHAL_LUCAS, like any params held at module
-level, therefore keep theirs for the life of the process.  The prefix and
+from a seed triple but the Binet coefficients is kept on its
+:class:`SequenceParams` instance and lives exactly as long as that
+instance: the oracle prefix X(0..N) and its running sum, rho, the seed
+form and the companion triples.  The module presets JACOBSTHAL and
+JACOBSTHAL_LUCAS, like any params held at module level, therefore keep
+theirs for the life of the process.  The Binet coefficients sit in
+closed_forms' bounded cache of the 128 most recently used params, which
+keeps each of those params alive until it is evicted.  The prefix and
 its running sum are replaced wholesale when they grow, never mutated, so
 concurrent callers at worst recompute identical values.  The oracle reads
 nothing but the seeds and its own prefix.

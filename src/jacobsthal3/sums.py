@@ -16,13 +16,13 @@ the negated sum; that variant is kept as weighted_sum_charpoly_form to
 document the pitfall, and the test suite pins a counterexample.
 
 The strided closed form divides by sigma(m) = 2**(m+1) +
-(1 - 2**m)*(w1**m + w2**m) - 2, which vanishes exactly when 3 divides m
-(the trace w1**m + w2**m is 2 for 3 | m and -1 otherwise).  For such m no
-closed form is provided and DegenerateStrideError directs callers to the
-oracle.  The trace is read from the table of root powers by m mod 3 and
-is still taken through Eisenstein.rational_part(), so a w-part that failed
-to cancel would raise on each miss of the bounded cache behind
-StridedSumContext.of, which checks that m and r are ints first.
+(1 - 2**m)*(w1**m + w2**m) - 2, which vanishes exactly when 3 divides m.
+For such m no closed form is provided and DegenerateStrideError directs
+callers to the oracle.  The trace w1**m + w2**m is the int 2 when 3
+divides m and -1 otherwise, read from m mod 3, so no Q(w) value enters
+this module; the test suite checks that rule against the powers in Q(w).
+StridedSumContext.of checks that m and r are ints, then builds the
+constants behind a bounded cache.
 
 Every oracle term comes from the scaled integer prefix X(k)*D of
 sequences._scaled_prefix, read once per call, after every index has
@@ -44,7 +44,7 @@ from functools import lru_cache
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
-from .eisenstein import OMEGA_POWERS, RationalLike, _as_fraction
+from .eisenstein import RationalLike, _as_fraction
 from .sequences import JACOBSTHAL, SequenceParams, _check_index, _check_int, _fraction, _scaled_prefix
 
 
@@ -149,17 +149,17 @@ class StridedSumContext:
     """Stride-dependent constants of the strided-sum closed form.
 
     trace = w1**m + w2**m (2 if 3 | m, else -1); mu = 2**m + trace;
-    sigma = 2**(m+1) + (1 - 2**m)*trace - 2.  Both mu and sigma are
-    integers for every m, and sigma = 0 exactly when 3 divides m.  The
-    subscript-free name sigma(m) is deliberate: the value depends only on
-    the stride, never on the number of summands.
+    sigma = 2**(m+1) + (1 - 2**m)*trace - 2.  All three are ints, and
+    sigma = 0 exactly when 3 divides m.  The subscript-free name sigma(m)
+    is deliberate: the value depends only on the stride, never on the
+    number of summands.
     """
 
     m: int
     r: int
-    trace: Fraction
-    mu: Fraction
-    sigma: Fraction
+    trace: int
+    mu: int
+    sigma: int
 
     @classmethod
     def of(cls, m: int, r: int) -> "StridedSumContext":
@@ -177,8 +177,7 @@ class StridedSumContext:
             raise ValueError(
                 f"offset r must be at least the stride (r >= m keeps index r - m nonnegative), got r={r}, m={m}"
             )
-        w1_m, w2_m = OMEGA_POWERS[m % 3]
-        trace = (w1_m + w2_m).rational_part()
+        trace = 2 if m % 3 == 0 else -1
         two_m = 1 << m
         mu = two_m + trace
         sigma = 2 * two_m + (1 - two_m) * trace - 2
@@ -202,14 +201,13 @@ def strided_sum_closed(params: SequenceParams, m: int, r: int, n: int) -> Fracti
     last = m * (n + 2) + r
     x, scale = _scaled_prefix(params, last)
     two_m = 1 << m
-    # mu and sigma have denominator 1, so the brace stays an int
     head = x[m * (n + 1) + r] - x[r]
     brace = (
         head
         + two_m * x[m * n + r]
         - two_m * x[r - m]
-        - ctx.mu.numerator * head
+        - ctx.mu * head
         + x[last]
         - x[r + m]
     )
-    return Fraction(brace, ctx.sigma.numerator * scale)
+    return Fraction(brace, ctx.sigma * scale)

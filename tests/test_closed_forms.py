@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -126,6 +128,18 @@ def test_binet_term_cost_in_products_does_not_grow_with_n(monkeypatch):
     small = calls[0]
     binet_term(params, 100_000)
     assert calls[0] - small == small > 0
+
+
+def test_binet_coefficient_cache_lets_old_params_go():
+    # a cache entry keeps its params alive, with the whole oracle prefix
+    first = SequenceParams(Fraction(1, 3), -7, 11)
+    first_ref = weakref.ref(first)
+    binet_term(first, 40)
+    del first
+    for k in range(200):
+        binet_term(SequenceParams(k, 1, Fraction(1, 2)), 40)
+    gc.collect()
+    assert first_ref() is None
 
 
 def test_lucas_decomposition():

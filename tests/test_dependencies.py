@@ -3,7 +3,8 @@
 It runs on the standard library alone (`dependencies = []`), no module
 imports a name it never uses, `__all__` is derived from the imports, and
 no library module but the CLI reads the oracle through the public
-`term`, `term_range` or `companions` views.
+`term`, `term_range` or `companions` views.  Q(w) values are imported
+only by the Binet form and re-exported by the package root.
 """
 
 import ast
@@ -74,6 +75,21 @@ def test_no_module_imports_a_name_it_never_uses():
         if names
     }
     assert unused == {}
+
+
+def test_q_w_stays_in_the_binet_form():
+    # sums reads the strided trace from m mod 3; only the Binet form computes
+    # in Q(w), and the package root re-exports its names
+    q_w = {"Eisenstein", "OMEGA1", "OMEGA2", "OMEGA_POWERS"}
+    importers = set()
+    for path in (ROOT / "src" / "jacobsthal3").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+                # `from . import eisenstein` reaches every name of the module
+                if (node.module or "").endswith("eisenstein") and names & q_w or "eisenstein" in names:
+                    importers.add(path.name)
+    assert importers == {"__init__.py", "closed_forms.py"}
 
 
 def test_all_is_every_public_name_of_the_package_sorted():

@@ -156,7 +156,7 @@ def test_strided_context_constants():
 
 
 def test_strided_constants_are_integers():
-    # the generic powers in Q(w) are the yardstick for the table lookup
+    # the generic powers in Q(w) are the yardstick for the m mod 3 rule
     for m in range(1, 61):
         ctx = StridedSumContext.of(m, m)
         trace = (OMEGA1**m + OMEGA2**m).rational_part()
@@ -164,7 +164,7 @@ def test_strided_constants_are_integers():
         assert ctx.mu == 2**m + trace
         assert ctx.sigma == 2 ** (m + 1) + (1 - 2**m) * trace - 2
         for value in (ctx.trace, ctx.mu, ctx.sigma):
-            assert type(value) is Fraction and value.denominator == 1
+            assert type(value) is int
         assert (ctx.sigma == 0) == (m % 3 == 0)
 
 
