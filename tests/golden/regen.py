@@ -52,10 +52,12 @@ INVOCATIONS: list[list[str]] = [
     ["gen", "--from", "5", "--to", "4"],
     ["gen", "--to", "3", "--a=nonsense"],
     ["gen", "--to", "3", "--output", "/"],
+    ["gen", "--to", "3", "--output", ""],
     *[["verify", "--identity", "all", "--n-max", "30", *clip, *seeds]
       for clip in ((), ("--r-max", "3")) for seeds in _SEEDS],
     ["verify", "--identity", "catalan-gen", "--n-max", "12", "--r-max", "3", "--a=3", "--output", OUTPUT],
     ["verify", "--identity", "e5", "--n-max", "2"],
+    ["verify", "--identity", "all", "--n-max", "2"],
     ["verify", "--identity", "catalan-gen", "--r-max", "-1"],
     ["verify", "--identity", "nosuch"],
     *[["gf", "--terms", "20", "--format", fmt, *seeds] for fmt in ("csv", "json") for seeds in _SEEDS],
