@@ -5,8 +5,10 @@ catalog), gf (expand the generating function), sum (evaluate summation
 closed forms against the oracle), selftest (run the whole battery).
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error
-(the --output file cannot be written).  Output is deterministic: identical
-invocations produce byte-identical results.
+(stdout or the --output file cannot be written; a reader that closes the
+pipe early is not an error).  Every command writes through _emit, the one
+place that maps a failed write to exit 3.  Output is deterministic:
+identical invocations produce byte-identical results.
 
 selftest's weighted sums and strided sums lines run the same pairing of
 closed form and oracle (_sum_pair) whose values sum prints.
@@ -14,8 +16,8 @@ closed form and oracle (_sum_pair) whose values sum prints.
 gen streams: it takes the first three terms of the range from the oracle
 and writes each line as soon as the next term is computed, keeping three
 terms in memory however many it writes.  Its usage errors are all raised
-before anything is written, but a write error partway through still exits 3
-and may leave a partial --output file.
+before anything is written, but a write error partway through, to stdout or
+to --output, still exits 3 and may leave partial output.
 
 main builds its argparse parser on its first call and reuses it for every
 later call in the same process, so each cmd_* function is bound to its
@@ -28,10 +30,13 @@ build_parser still returns a new parser on every call.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
+import os
 import sys
 import time
+from contextlib import nullcontext, suppress
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
 from fractions import Fraction
 from itertools import chain, islice, zip_longest
@@ -58,7 +63,7 @@ class UsageError(Exception):
 
 
 class OutputError(Exception):
-    """The output file cannot be written; maps to exit code 3."""
+    """stdout or the --output file cannot be written; maps to exit code 3."""
 
 
 def _rational_arg(text: str) -> Fraction:
@@ -137,15 +142,27 @@ _parser = functools.cache(build_parser)
 
 
 def _emit(lines: Iterable[str], output: Optional[str]) -> None:
-    """Write lines to stdout, or to the file output, as they are produced."""
-    if output is None:
-        sys.stdout.writelines(lines)
-    else:
-        try:
-            with open(output, "w", encoding="utf-8", newline="\n") as handle:
-                handle.writelines(lines)
-        except OSError as exc:
-            raise OutputError(f"cannot write {output}: {exc.strerror or exc}") from exc
+    """Write lines to stdout, or to the file output, as they are produced.
+
+    Every OSError but a broken pipe is an OutputError that names stdout, or
+    output as given; so is a closed stdout (None).  A failed write closes
+    stdout, so that the interpreter's flush at exit, which skips a closed
+    stream, does not fail again on what the write left in the buffer.
+    """
+    try:
+        if output is None and sys.stdout is None:
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        target = nullcontext(sys.stdout) if output is None else open(output, "w", encoding="utf-8", newline="\n")
+        with target as handle:
+            handle.writelines(lines)
+            handle.flush()
+    except OSError as exc:
+        if output is None and sys.stdout is not None:
+            with suppress(OSError):
+                sys.stdout.close()
+        if isinstance(exc, BrokenPipeError):
+            raise
+        raise OutputError(f"cannot write {'stdout' if output is None else output}: {exc.strerror or exc}") from exc
 
 
 def _params(args: argparse.Namespace) -> SequenceParams:
@@ -224,19 +241,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     identities = list(IdentityId) if args.identity == "all" else [IdentityId(args.identity)]
     if args.r_max is not None and args.r_max < 0:
         raise UsageError(f"--r-max must be nonnegative, got {args.r_max}")
-    params = _params(args)
-    lines = []
-    all_ok = True
     for ident in identities:
         if args.n_max < ident.min_n:
             raise UsageError(
                 f"--n-max {args.n_max} is below the minimum n ({ident.min_n}) for {ident.value}"
             )
-        report = verify_range(ident, params, n_max=args.n_max, r_max=args.r_max)
-        all_ok = all_ok and report.ok
-        lines.append(report.to_json())
-    _emit(("\n".join(lines) + "\n",), args.output)
-    return 0 if all_ok else 1
+    params = _params(args)
+    reports = [verify_range(ident, params, n_max=args.n_max, r_max=args.r_max) for ident in identities]
+    _emit((report.to_json() + "\n" for report in reports), args.output)
+    return 0 if all(report.ok for report in reports) else 1
 
 
 def cmd_gf(args: argparse.Namespace) -> int:
@@ -327,9 +340,7 @@ def cmd_sum(args: argparse.Namespace) -> int:
         render = lambda value: "" if value is None else str(value).lower() if isinstance(value, bool) else str(value)
         text = ",".join(flat) + "\n" + ",".join(render(v) for v in flat.values()) + "\n"
     _emit((text,), args.output)
-    if payload["agree"] is False:
-        return 1
-    return 0
+    return 1 if payload["agree"] is False else 0
 
 
 # Seed triples exercised by selftest; the catalog must hold for all of them.
@@ -403,16 +414,17 @@ def _selftest_checks():
 
 def cmd_selftest(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    failures = 0
-    for label, total, ok in _selftest_checks():
-        status = "PASS" if ok else "FAIL"
-        if not ok:
-            failures += 1
-        sys.stdout.write(f"{status}  {label:<24} ({total} checks)\n")
-    elapsed = time.monotonic() - started
-    status = "PASS" if failures == 0 else "FAIL"
-    sys.stdout.write(f"{status}  selftest finished in {elapsed:.1f}s\n")
-    return 0 if failures == 0 else 1
+    failed = []
+
+    def lines() -> Iterator[str]:
+        for label, total, ok in _selftest_checks():
+            if not ok:
+                failed.append(label)
+            yield f"{'PASS' if ok else 'FAIL'}  {label:<24} ({total} checks)\n"
+        yield f"{'FAIL' if failed else 'PASS'}  selftest finished in {time.monotonic() - started:.1f}s\n"
+
+    _emit(lines(), None)
+    return 1 if failed else 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -426,12 +438,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OutputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, UsageError) else 3
     except BrokenPipeError:
         return 0
     finally:
